@@ -45,8 +45,8 @@ using PlanCache = LruCache<sheet::EvalPlan>;
 /// Process-lifetime counters for the lane-batched columnar paths
 /// (served on /healthz).  `scalar_fallback_points` counts points a
 /// columnar call evaluated through the whole-point scalar path
-/// (intermodel plans, non-slot-addressable bindings, degenerate
-/// batches); `lane_replays` counts programs the batch interpreter had
+/// (non-slot-addressable bindings, degenerate batches, blocks degraded
+/// by an error); `lane_replays` counts programs the batch interpreter had
 /// to replay lane-by-lane (divergent conditionals, would-throw
 /// conditions).
 struct BatchCounters {

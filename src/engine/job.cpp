@@ -210,8 +210,11 @@ void JobManager::runner_loop() {
         std::lock_guard lock(mutex_);
         auto it = jobs_.find(id);
         if (it != jobs_.end()) {
-          it->second.snapshot.done = done;
-          it->second.snapshot.total = total;
+          // Parallel sweeps count `done` outside this lock, so a late
+          // block can report a smaller value: progress only moves up.
+          JobSnapshot& snap = it->second.snapshot;
+          snap.done = std::max(snap.done, done);
+          snap.total = total;
         }
       }
       if (cancel->load()) throw JobCancelled();
@@ -227,6 +230,11 @@ void JobManager::runner_loop() {
     std::string error;
     try {
       result = work(progress);
+      // Finished results stay in the history (up to retained_jobs), so
+      // they keep no spare capacity from being built by appending.
+      result.table.shrink_to_fit();
+      result.csv.shrink_to_fit();
+      result.json.shrink_to_fit();
       // A cancel that raced the final point still wins: the client
       // asked for the job to stop, so don't hand back a result.
       if (cancel->load()) {
@@ -257,6 +265,7 @@ void JobManager::runner_loop() {
             snap.status = JobStatus::kDone;
             snap.result = std::move(result);
             if (snap.total == 0) snap.total = snap.done;
+            snap.done = snap.total;
             break;
           case Outcome::kCancelled:
             snap.status = JobStatus::kCancelled;

@@ -96,15 +96,19 @@ std::string mc_table(const McResult& r) {
 }
 
 std::string mc_csv(const McResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  for (const std::string& name : r.param_names) os << name << ',';
-  os << "total_power_w,energy_per_op_j\n";
+  std::string out;
+  for (const std::string& name : r.param_names) out += name + ',';
+  out += "total_power_w,energy_per_op_j\n";
+  const auto field = [&out](double v, char end) {
+    units::append_double(out, v, 9);
+    out += end;
+  };
   for (std::size_t i = 0; i < r.power_w.size(); ++i) {
-    for (const double v : r.points[i]) os << v << ',';
-    os << r.power_w[i] << ',' << r.energy_j[i] << '\n';
+    for (const double v : r.points[i]) field(v, ',');
+    field(r.power_w[i], ',');
+    field(r.energy_j[i], '\n');
   }
-  return os.str();
+  return out;
 }
 
 std::string mc_json(const McResult& r) {

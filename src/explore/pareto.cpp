@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "units/units.hpp"
+
 namespace powerplay::explore {
 
 bool is_metric(const std::string& name) {
@@ -189,42 +191,50 @@ std::string pareto_table(const ParetoResult& r) {
 }
 
 std::string pareto_csv(const ParetoResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  for (const std::string& name : r.param_names) os << name << ',';
-  for (const Objective& o : r.objectives) os << o.name << ',';
-  os << "total_power_w,area_m2,frontier\n";
+  std::string out;
+  for (const std::string& name : r.param_names) out += name + ',';
+  for (const Objective& o : r.objectives) out += o.name + ',';
+  out += "total_power_w,area_m2,frontier\n";
   std::vector<char> on(r.points.size(), 0);
   for (const std::size_t i : r.frontier) on[i] = 1;
+  const auto field = [&out](double v) {
+    units::append_double(out, v, 9);
+    out += ',';
+  };
   for (std::size_t i = 0; i < r.points.size(); ++i) {
-    for (const double v : r.points[i]) os << v << ',';
-    for (const double v : r.objective_values[i]) os << v << ',';
-    os << r.power_w[i] << ',' << r.area_m2[i] << ','
-       << static_cast<int>(on[i]) << '\n';
+    for (const double v : r.points[i]) field(v);
+    for (const double v : r.objective_values[i]) field(v);
+    field(r.power_w[i]);
+    field(r.area_m2[i]);
+    out += on[i] != 0 ? "1\n" : "0\n";
   }
-  return os.str();
+  return out;
 }
 
 std::string pareto_json(const ParetoResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "[";
+  std::string out = "[";
   bool first = true;
   for (const std::size_t i : r.frontier) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "{";
+    out += '{';
     for (std::size_t j = 0; j < r.param_names.size(); ++j) {
-      os << "\"" << r.param_names[j] << "\":" << r.points[i][j] << ",";
+      out += '"' + r.param_names[j] + "\":";
+      units::append_double(out, r.points[i][j], 17);
+      out += ',';
     }
     for (std::size_t j = 0; j < r.objectives.size(); ++j) {
-      os << "\"" << (r.objectives[j].maximize ? "max:" : "min:")
-         << r.objectives[j].name << "\":" << r.objective_values[i][j] << ",";
+      out += std::string("\"") + (r.objectives[j].maximize ? "max:" : "min:") +
+             r.objectives[j].name + "\":";
+      units::append_double(out, r.objective_values[i][j], 17);
+      out += ',';
     }
-    os << "\"total_power_w\":" << r.power_w[i] << "}";
+    out += "\"total_power_w\":";
+    units::append_double(out, r.power_w[i], 17);
+    out += '}';
   }
-  os << "]";
-  return os.str();
+  out += ']';
+  return out;
 }
 
 }  // namespace powerplay::explore

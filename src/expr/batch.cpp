@@ -284,10 +284,15 @@ void BatchExec::run_batch(const Program& p, double* out) {
           ++pc;
           break;
         }
-        case Op::kExt:
-          // The sheet layer never batches a plan with extension sites.
-          throw ExprError(
-              "internal error: intermodel op reached batch execution");
+        case Op::kExt: {
+          if (ext_block_ == nullptr) {
+            throw ExprError("internal error: intermodel op with no hook");
+          }
+          double* top = push();
+          ext_block_(ext_ctx_, ins.a, ins.b, top, w);
+          ++pc;
+          break;
+        }
       }
     }
     std::memcpy(out, entry(sp_ - 1), w * sizeof(double));
@@ -442,8 +447,12 @@ double BatchExec::run_lane(const Program& p, std::size_t lane) {
           break;
         }
         case Op::kExt:
-          throw ExprError(
-              "internal error: intermodel op reached batch execution");
+          if (ext_lane_ == nullptr) {
+            throw ExprError("internal error: intermodel op with no hook");
+          }
+          st.push_back(ext_lane_(ext_ctx_, ins.a, ins.b, lane));
+          ++pc;
+          break;
       }
     }
     const double result = st.back();

@@ -31,10 +31,12 @@
 // degrades the whole block to the scalar PlanInstance path so the
 // error that surfaces is the one the scalar sweep would have raised.
 //
-// kExt (intermodel ops) never appears here: the sheet layer only
-// batches plans with no extension sites (intermodel fixed-point work
-// stays on the per-point scalar path, keeping convergence per-point
-// exact).
+// kExt (the sheet plan's intermodel ops: rowpower, totalpower, ...)
+// runs through two caller-supplied hooks: a block hook that fills one
+// double per lane in lockstep execution, and a lane hook that answers
+// a single lane inside a per-lane replay.  Both read the caller's
+// per-lane state, so a lane sees exactly the value the scalar
+// ExecState hook would return for that point.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +86,19 @@ class BatchExec {
     return slot_lanes(slot)[lane];
   }
 
+  /// Extension hooks for Op::kExt.  `block` writes one double per lane
+  /// to out[0, width); `lane` answers one lane of a per-lane replay.
+  /// A kExt reached with no hooks installed throws.
+  using ExtBlockFn = void (*)(void* ctx, std::uint32_t a, std::uint32_t b,
+                              double* out, std::size_t width);
+  using ExtLaneFn = double (*)(void* ctx, std::uint32_t a, std::uint32_t b,
+                               std::size_t lane);
+  void set_ext(ExtBlockFn block, ExtLaneFn lane, void* ctx) {
+    ext_block_ = block;
+    ext_lane_ = lane;
+    ext_ctx_ = ctx;
+  }
+
   /// Programs that had to be replayed lane-by-lane (divergent branch
   /// or would-throw condition) since construction.
   [[nodiscard]] std::uint64_t lane_replays() const { return lane_replays_; }
@@ -109,6 +124,9 @@ class BatchExec {
   }
 
   const Module* module_;
+  ExtBlockFn ext_block_ = nullptr;
+  ExtLaneFn ext_lane_ = nullptr;
+  void* ext_ctx_ = nullptr;
   std::size_t width_ = 0;
   std::vector<double> base_;    ///< per-slot base value (kValue slots)
   std::vector<double> values_;  ///< slot-major lanes: [slot * width_ + lane]

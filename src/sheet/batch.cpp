@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 
 #include "model/param.hpp"
@@ -99,17 +98,14 @@ class BatchLaneReader final : public model::ParamReader {
 
 BatchPlanInstance::BatchPlanInstance(std::shared_ptr<const EvalPlan> plan)
     : plan_(std::move(plan)), exec_(plan_->module_), scalar_(plan_) {
-  accs_.resize(plan_->nodes_.size());
-  for (NodeAcc& acc : accs_) {
-    acc.dynamic_w.resize(kLaneWidth);
-    acc.static_w.resize(kLaneWidth);
-    acc.energy_j.resize(kLaneWidth);
-    acc.area_m2.resize(kLaneWidth);
-    acc.delay_s.resize(kLaneWidth);
+  exec_.set_ext(&BatchPlanInstance::ext_block, &BatchPlanInstance::ext_lane,
+                this);
+  frames_.resize(plan_->nodes_.size());
+  for (std::size_t n = 0; n < frames_.size(); ++n) {
+    frames_[n].rows.resize(plan_->nodes_[n].rows.size());
+    frames_[n].present.assign(plan_->nodes_[n].rows.size(), 0);
   }
 }
-
-bool BatchPlanInstance::batchable() const { return plan_->ext_sites_.empty(); }
 
 void BatchPlanInstance::bind_from(const Design& design) {
   // Same slot-source walk as PlanInstance::bind_from, feeding the
@@ -160,59 +156,163 @@ void BatchPlanInstance::play_block_scalar(
   }
 }
 
+void BatchPlanInstance::ext_block(void* ctx, std::uint32_t site,
+                                  std::uint32_t, double* out,
+                                  std::size_t width) {
+  static_cast<BatchPlanInstance*>(ctx)->ext(site, 0, width, out);
+}
+
+double BatchPlanInstance::ext_lane(void* ctx, std::uint32_t site,
+                                   std::uint32_t, std::size_t lane) {
+  double v = 0.0;
+  static_cast<BatchPlanInstance*>(ctx)->ext(site, lane, lane + 1, &v);
+  return v;
+}
+
+void BatchPlanInstance::ext(std::uint32_t site_index, std::size_t from,
+                            std::size_t to, double* out) {
+  // PlanInstance::ext, lane by lane: an absent row reads as the zero
+  // estimate, and the totals sum the present rows in name order.
+  using Kind = EvalPlan::ExtSite::Kind;
+  const EvalPlan::ExtSite& site = plan_->ext_sites_[site_index];
+  NodeFrame& frame = frames_[site.node];
+  std::fill(frame.used.begin() + static_cast<std::ptrdiff_t>(from),
+            frame.used.begin() + static_cast<std::ptrdiff_t>(to), 1);
+  const auto value = [kind = site.kind](const LaneEstimates& e,
+                                        std::size_t l) {
+    switch (kind) {
+      case Kind::kRowArea:
+      case Kind::kTotalArea:
+        return e.area_m2[l];
+      case Kind::kRowEnergy:
+        return e.energy_j[l];
+      case Kind::kRowDelay:
+        return e.delay_s[l];
+      default:
+        return e.dynamic_w[l] + e.static_w[l];
+    }
+  };
+  const std::size_t n = to - from;
+  std::fill_n(out, n, 0.0);
+  if (site.kind == Kind::kTotalPower || site.kind == Kind::kTotalArea) {
+    for (const std::uint32_t ri :
+         plan_->nodes_[site.node].name_sorted_enabled) {
+      if (!frame.present[ri]) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] += value(frame.rows[ri], from + i);
+      }
+    }
+  } else if (site.kind != Kind::kDisabledZero &&
+             frame.present[site.target_row]) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = value(frame.rows[site.target_row], from + i);
+    }
+  }
+}
+
 void BatchPlanInstance::run_node_batch(std::uint32_t node_id,
-                                       std::size_t width) {
+                                       std::size_t width,
+                                       const std::uint8_t* active_in) {
   const EvalPlan::Node& node = plan_->nodes_[node_id];
   if (!node.poison.empty()) throw expr::ExprError(node.poison);
+
+  NodeFrame& frame = frames_[node_id];
+  std::fill(frame.present.begin(), frame.present.end(), 0);
+  std::fill_n(frame.used.begin(), width, 0);
+  std::copy_n(active_in, width, frame.active.begin());
   exec_.begin_epoch(node.globals_domain);
 
-  NodeAcc& acc = accs_[node_id];
-  std::fill_n(acc.dynamic_w.begin(), width, 0.0);
-  std::fill_n(acc.static_w.begin(), width, 0.0);
-  std::fill_n(acc.energy_j.begin(), width, 0.0);
-  std::fill_n(acc.area_m2.begin(), width, 0.0);
-  std::fill_n(acc.delay_s.begin(), width, 0.0);
+  // PlanInstance::run_node over the whole block.  The row schedule of
+  // an iteration depends only on the static settle ranks, so it is the
+  // same for every lane; lanes differ only in when they converge.
+  for (int iter = 1;; ++iter) {
+    for (std::size_t ri = 0; ri < node.rows.size(); ++ri) {
+      const EvalPlan::PlanRow& row = node.rows[ri];
+      // Settled rows keep their latest estimates (iteration 1 evaluates
+      // every row, and every rank is >= 1).
+      if (!row.enabled || static_cast<std::uint32_t>(iter) > row.rank) {
+        continue;
+      }
+      exec_.begin_epoch(row.domain);
+      // Evaluate the row's shown parameters across the block first, as
+      // the scalar path does per point: their errors surface before the
+      // model runs, and the memo is warm for the model's reads.
+      for (const auto& [nm, slot] : row.param_slots) {
+        (void)exec_.slot_lanes(slot);
+      }
 
-  // No intermodel sites anywhere in the plan, so every settle rank is
-  // finite and the scalar fixed-point loop exits after iteration 1:
-  // one sheet-ordered pass over the enabled rows is the whole Play.
-  for (std::size_t ri = 0; ri < node.rows.size(); ++ri) {
-    const EvalPlan::PlanRow& row = node.rows[ri];
-    if (!row.enabled) continue;
-    exec_.begin_epoch(row.domain);
-    // Evaluate the row's shown parameters across the block first, as
-    // the scalar path does per point: their errors surface before the
-    // model runs, and the memo is warm for the model's reads.
-    for (const auto& [nm, slot] : row.param_slots) {
-      (void)exec_.slot_lanes(slot);
+      LaneEstimates& est = frame.rows[ri];
+      if (row.is_macro) {
+        run_node_batch(row.sub_node, width, frame.active.data());
+        est = frames_[row.sub_node].out;
+      } else if (!run_row_fast(row, node, width, est)) {
+        // The model itself is scalar C++ — run it per active lane over
+        // the batched parameter reads.
+        for (std::size_t l = 0; l < width; ++l) {
+          if (!frame.active[l]) continue;
+          BatchLaneReader reader(exec_, row.reads, node.chain_names, l);
+          const Estimate e = row.model->evaluate(reader);
+          est.dynamic_w[l] = e.dynamic_power.si();
+          est.static_w[l] = e.static_power.si();
+          est.energy_j[l] = e.energy_per_op.si();
+          est.area_m2[l] = e.area.si();
+          est.delay_s[l] = e.delay.si();
+        }
+      }
+      frame.present[ri] = 1;
     }
 
-    if (row.is_macro) {
-      run_node_batch(row.sub_node, width);
-      const NodeAcc& sub = accs_[row.sub_node];
+    // model::combine over the enabled rows in sheet order: field-wise
+    // sums, delay as a running max, one separate add per field, so
+    // every lane reproduces the scalar doubles.
+    std::fill_n(sum_.dynamic_w.begin(), width, 0.0);
+    std::fill_n(sum_.static_w.begin(), width, 0.0);
+    std::fill_n(sum_.energy_j.begin(), width, 0.0);
+    std::fill_n(sum_.area_m2.begin(), width, 0.0);
+    std::fill_n(sum_.delay_s.begin(), width, 0.0);
+    for (std::size_t ri = 0; ri < node.rows.size(); ++ri) {
+      if (!node.rows[ri].enabled) continue;
+      const LaneEstimates& e = frame.rows[ri];
       for (std::size_t l = 0; l < width; ++l) {
-        acc.dynamic_w[l] += sub.dynamic_w[l];
-        acc.static_w[l] += sub.static_w[l];
-        acc.energy_j[l] += sub.energy_j[l];
-        acc.area_m2[l] += sub.area_m2[l];
-        acc.delay_s[l] = std::max(acc.delay_s[l], sub.delay_s[l]);
-      }
-    } else if (!run_row_fast(row, node, width, acc)) {
-      // The model itself is scalar C++ — run it per lane over the
-      // batched parameter reads.  Accumulation order matches
-      // model::combine: field-wise sums in enabled sheet-row order,
-      // delay as a running max, one separate add per field (no fusion
-      // opportunity), so every lane reproduces the scalar doubles.
-      for (std::size_t l = 0; l < width; ++l) {
-        BatchLaneReader reader(exec_, row.reads, node.chain_names, l);
-        const Estimate e = row.model->evaluate(reader);
-        acc.dynamic_w[l] += e.dynamic_power.si();
-        acc.static_w[l] += e.static_power.si();
-        acc.energy_j[l] += e.energy_per_op.si();
-        acc.area_m2[l] += e.area.si();
-        acc.delay_s[l] = std::max(acc.delay_s[l], e.delay.si());
+        sum_.dynamic_w[l] += e.dynamic_w[l];
+        sum_.static_w[l] += e.static_w[l];
+        sum_.energy_j[l] += e.energy_j[l];
+        sum_.area_m2[l] += e.area_m2[l];
+        sum_.delay_s[l] = std::max(sum_.delay_s[l], e.delay_s[l]);
       }
     }
+
+    // Freeze every active lane at this iteration's totals, then retire
+    // the lanes whose scalar loop would stop here.
+    bool any_active = false;
+    for (std::size_t l = 0; l < width; ++l) {
+      if (!frame.active[l]) continue;
+      frame.out.dynamic_w[l] = sum_.dynamic_w[l];
+      frame.out.static_w[l] = sum_.static_w[l];
+      frame.out.energy_j[l] = sum_.energy_j[l];
+      frame.out.area_m2[l] = sum_.area_m2[l];
+      frame.out.delay_s[l] = sum_.delay_s[l];
+      if (!frame.used[l]) {
+        frame.active[l] = 0;
+        continue;
+      }
+      const double total = sum_.dynamic_w[l] + sum_.static_w[l];
+      if (iter > 1) {
+        const double tol = 1e-9 * std::max(1.0, std::fabs(total));
+        if (std::fabs(total - frame.last_total[l]) <= tol) {
+          frame.active[l] = 0;
+          continue;
+        }
+      }
+      frame.last_total[l] = total;
+      if (iter == Design::kMaxIterations) {
+        // The message never surfaces: the block degrades and the scalar
+        // replay raises the real non-convergence error.
+        throw expr::ExprError("batch: lane did not converge");
+      }
+      any_active = true;
+    }
+    if (!any_active) return;
   }
 }
 
@@ -233,7 +333,7 @@ void BatchPlanInstance::run_node_batch(std::uint32_t node_id,
 // throw therefore only costs speed, never correctness.
 bool BatchPlanInstance::run_row_fast(const EvalPlan::PlanRow& row,
                                      const EvalPlan::Node& node,
-                                     std::size_t width, NodeAcc& acc) {
+                                     std::size_t width, LaneEstimates& est) {
   if (width <= 1 || !row.model->operating_point_only()) return false;
   const EvalPlan::Read* vdd_read = nullptr;
   const EvalPlan::Read* f_read = nullptr;
@@ -269,20 +369,20 @@ bool BatchPlanInstance::run_row_fast(const EvalPlan::PlanRow& row,
   const double area = e0.area.si();
   const double delay = e0.delay.si();
 
-  acc.dynamic_w[0] += e0.dynamic_power.si();
-  acc.static_w[0] += e0.static_power.si();
-  acc.energy_j[0] += e0.energy_per_op.si();
-  acc.area_m2[0] += area;
-  acc.delay_s[0] = std::max(acc.delay_s[0], delay);
+  est.dynamic_w[0] = e0.dynamic_power.si();
+  est.static_w[0] = e0.static_power.si();
+  est.energy_j[0] = e0.energy_per_op.si();
+  est.area_m2[0] = area;
+  est.delay_s[0] = delay;
 
   if (vdd_lanes == nullptr && f_lanes == nullptr) {
     // Uniform operating point too: every lane is the lane-0 evaluate.
     for (std::size_t l = 1; l < width; ++l) {
-      acc.dynamic_w[l] += e0.dynamic_power.si();
-      acc.static_w[l] += e0.static_power.si();
-      acc.energy_j[l] += e0.energy_per_op.si();
-      acc.area_m2[l] += area;
-      acc.delay_s[l] = std::max(acc.delay_s[l], delay);
+      est.dynamic_w[l] = e0.dynamic_power.si();
+      est.static_w[l] = e0.static_power.si();
+      est.energy_j[l] = e0.energy_per_op.si();
+      est.area_m2[l] = area;
+      est.delay_s[l] = delay;
     }
     ++stats_.term_capture_rows;
     return true;
@@ -306,11 +406,11 @@ bool BatchPlanInstance::run_row_fast(const EvalPlan::PlanRow& row,
     const model::EstimateCore core = model::evaluate_terms(
         e0.cap_terms, e0.static_terms,
         model::OperatingPoint{units::Voltage{vdd}, units::Frequency{f}});
-    acc.dynamic_w[l] += core.dynamic_power.si();
-    acc.static_w[l] += core.static_power.si();
-    acc.energy_j[l] += core.energy_per_op.si();
-    acc.area_m2[l] += area;
-    acc.delay_s[l] = std::max(acc.delay_s[l], delay);
+    est.dynamic_w[l] = core.dynamic_power.si();
+    est.static_w[l] = core.static_power.si();
+    est.energy_j[l] = core.energy_per_op.si();
+    est.area_m2[l] = area;
+    est.delay_s[l] = delay;
   }
   ++stats_.term_capture_rows;
   return true;
@@ -322,9 +422,8 @@ void BatchPlanInstance::play_block(
     PointColumns& out, std::size_t base) {
   if (width == 0) return;
   stats_.points += width;
-  if (!batchable() || width <= 1) {
-    // Intermodel fixed-point work (or a degenerate block) stays on the
-    // whole-point scalar path: convergence per point, no lane arrays.
+  if (width <= 1) {
+    // A degenerate block gains nothing from lane arrays.
     play_block_scalar(slots, lane_values, width, out, base);
     return;
   }
@@ -335,22 +434,23 @@ void BatchPlanInstance::play_block(
     }
   }
   try {
-    run_node_batch(0, width);
+    run_node_batch(0, width, all_lanes_.data());
   } catch (...) {
-    // Something in this block throws.  Degrade the whole block to the
-    // scalar path: points replay in lane order, so the error that
-    // escapes is the one the scalar sweep would raise (and a spurious
-    // batch-only failure would be absorbed entirely).
+    // Something in this block throws (or a lane never converges).
+    // Degrade the whole block to the scalar path: points replay in lane
+    // order, so the error that escapes is the one the scalar sweep
+    // would raise (and a spurious batch-only failure would be absorbed
+    // entirely).
     play_block_scalar(slots, lane_values, width, out, base);
     return;
   }
   ++stats_.blocks;
-  const NodeAcc& acc = accs_[0];
+  const LaneEstimates& root = frames_[0].out;
   for (std::size_t l = 0; l < width; ++l) {
-    out.power_w[base + l] = acc.dynamic_w[l] + acc.static_w[l];
-    out.energy_j[base + l] = acc.energy_j[l];
-    out.area_m2[base + l] = acc.area_m2[l];
-    out.delay_s[base + l] = acc.delay_s[l];
+    out.power_w[base + l] = root.dynamic_w[l] + root.static_w[l];
+    out.energy_j[base + l] = root.energy_j[l];
+    out.area_m2[base + l] = root.area_m2[l];
+    out.delay_s[base + l] = root.delay_s[l];
   }
 }
 
@@ -375,42 +475,48 @@ std::string grid_table(const ColumnarGrid& grid) {
 }
 
 std::string grid_csv(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  os << grid.x_param << ',' << grid.y_param
-     << ",total_power_w,energy_per_op_j\n";
+  std::string out = grid.x_param + ',' + grid.y_param +
+                    ",total_power_w,energy_per_op_j\n";
+  out.reserve(out.size() + grid.cols.size() * 64);
+  const auto field = [&out](double v, char end) {
+    units::append_double(out, v, 9);
+    out += end;
+  };
   for (std::size_t i = 0; i < grid.xs.size(); ++i) {
     for (std::size_t j = 0; j < grid.ys.size(); ++j) {
       const std::size_t k = i * grid.ys.size() + j;
-      os << grid.xs[i] << ',' << grid.ys[j] << ',' << grid.cols.power_w[k]
-         << ',' << grid.cols.energy_j[k] << '\n';
+      field(grid.xs[i], ',');
+      field(grid.ys[j], ',');
+      field(grid.cols.power_w[k], ',');
+      field(grid.cols.energy_j[k], '\n');
     }
   }
-  return os.str();
+  return out;
 }
 
 std::string grid_json(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  const auto array = [&os](const std::vector<double>& v) {
-    os << '[';
+  std::string out;
+  out.reserve(128 + (grid.xs.size() + grid.ys.size() + 2 * grid.cols.size()) *
+                        24);
+  const auto array = [&out](const std::vector<double>& v) {
+    out += '[';
     for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i != 0) os << ',';
-      os << v[i];
+      if (i != 0) out += ',';
+      units::append_double(out, v[i], 17);
     }
-    os << ']';
+    out += ']';
   };
-  os << "{\"x_param\":\"" << grid.x_param << "\",\"y_param\":\""
-     << grid.y_param << "\",\"xs\":";
+  out += "{\"x_param\":\"" + grid.x_param + "\",\"y_param\":\"" +
+         grid.y_param + "\",\"xs\":";
   array(grid.xs);
-  os << ",\"ys\":";
+  out += ",\"ys\":";
   array(grid.ys);
-  os << ",\"power_w\":";
+  out += ",\"power_w\":";
   array(grid.cols.power_w);
-  os << ",\"energy_j\":";
+  out += ",\"energy_j\":";
   array(grid.cols.energy_j);
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 }  // namespace powerplay::sheet

@@ -5,24 +5,30 @@
 // PlayResult per point: per-row RowResults, shown-parameter vectors,
 // cap-term lists — deep copies the grid/Monte-Carlo workloads throw
 // away after reading four doubles.  BatchPlanInstance evaluates a
-// whole *lane block* of points through one pass over the plan's rows:
+// whole *lane block* of points through sheet-ordered row passes:
 // slot storage is structure-of-arrays (expr::BatchExec), each row's
 // formulas evaluate across the block at once, and per-row estimates
 // accumulate into per-lane metric columns — no per-point result
 // objects, no Play-cache probe, no locked shared state on the hot
 // path.
 //
-// The batch path only runs plans with no intermodel extension sites:
-// those designs settle in exactly one row pass (every settle rank is
-// finite and the fixed-point loop exits after iteration 1), so one
-// sheet-ordered sweep over the rows per block reproduces the scalar
-// evaluation lane for lane.  Plans with intermodel terms — and blocks
-// of width <= 1 — take the scalar PlanInstance per point instead
-// (`BatchStats::scalar_fallback_points`), keeping the fixed-point
-// convergence trajectory per-point exact.  Any error raised during a
-// batch pass also degrades the whole block to the scalar path, so the
-// error that surfaces (and its message) is exactly the one the scalar
-// sweep would raise for the lowest failing point index.
+// Intermodel plans (rowpower/totalpower/... — InfoPad's EQ 19
+// converter) run the fixed point inside the block: each node keeps
+// per-row, per-lane estimates and lane-uniform `present` flags, the
+// extension ops read them through BatchExec's kExt hooks, and the node
+// iterates the way PlanInstance::run_node does — settle-rank reuse,
+// model::combine order, name-sorted totalpower/totalarea sums, a
+// per-lane intermodel_used flag and the 1e-9*max(1,|total|)
+// convergence test — freezing each lane's result at the iteration
+// where that lane converges and iterating while any lane is active.
+// Which rows evaluate at an iteration depends only on the static
+// settle ranks, so every lane runs the same row schedule the scalar
+// path runs for that point.  Blocks of width <= 1 take the scalar
+// PlanInstance per point (`BatchStats::scalar_fallback_points`).  Any
+// error raised during a batch pass — including a lane that hits
+// Design::kMaxIterations — degrades the whole block to the scalar
+// path, so the error that surfaces (and its message) is exactly the
+// one the scalar sweep would raise for the lowest failing point index.
 //
 // Tolerance contract: within a lane every operation runs in the same
 // order on the same doubles as the scalar path, with no cross-lane
@@ -76,7 +82,7 @@ struct BatchStats {
   std::uint64_t points = 0;  ///< points evaluated (batch + fallback)
   std::uint64_t blocks = 0;  ///< lane blocks executed on the batch path
   /// Points that took the whole-point scalar PlanInstance path
-  /// (intermodel plans, width <= 1, or a block degraded by an error).
+  /// (width <= 1, or a block degraded by an error).
   std::uint64_t scalar_fallback_points = 0;
   /// Programs replayed lane-by-lane inside the batch interpreter
   /// (divergent conditionals, would-throw conditions).
@@ -89,9 +95,10 @@ struct BatchStats {
 };
 
 /// Per-thread batch evaluation scratch over a shared EvalPlan: the SoA
-/// slot lanes, per-node accumulator arrays (arena-allocated once and
+/// slot lanes, per-node and per-row lane estimates (allocated once and
 /// reused across blocks), and a scalar PlanInstance for the fallback
-/// paths.  Not copyable, like PlanInstance.
+/// paths.  Not copyable, like PlanInstance (the BatchExec extension
+/// hooks point back at it).
 class BatchPlanInstance {
  public:
   /// Lane-block width: points per batch.  64 lanes keep the whole SoA
@@ -107,12 +114,6 @@ class BatchPlanInstance {
   /// Refresh every value slot from a structurally identical design
   /// (both the batch base values and the scalar fallback instance).
   void bind_from(const Design& design);
-
-  /// True when the plan can run on the batch path at all (no
-  /// intermodel extension sites).  Intermodel plans still evaluate
-  /// correctly through play_block — every point falls back to the
-  /// scalar fixed-point path.
-  [[nodiscard]] bool batchable() const;
 
   /// Evaluate `width` points (width <= kLaneWidth): point l binds
   /// slots[s] = lane_values[s][l] for every s.  Results land in
@@ -132,31 +133,59 @@ class BatchPlanInstance {
   [[nodiscard]] const EvalPlan& plan() const { return *plan_; }
 
  private:
-  /// Per-node, per-lane metric accumulators — the batched counterpart
-  /// of model::combine over the node's enabled rows in sheet order
-  /// (field-wise sums, delay max).
-  struct NodeAcc {
-    std::vector<double> dynamic_w;
-    std::vector<double> static_w;
-    std::vector<double> energy_j;
-    std::vector<double> area_m2;
-    std::vector<double> delay_s;
+  using Lanes = std::vector<double>;
+  using LaneFlags = std::vector<std::uint8_t>;
+
+  /// The five combined metrics of one estimate, one double per lane.
+  struct LaneEstimates {
+    Lanes dynamic_w = Lanes(kLaneWidth);
+    Lanes static_w = Lanes(kLaneWidth);
+    Lanes energy_j = Lanes(kLaneWidth);
+    Lanes area_m2 = Lanes(kLaneWidth);
+    Lanes delay_s = Lanes(kLaneWidth);
   };
 
-  void run_node_batch(std::uint32_t node_id, std::size_t width);
+  /// Per-node batch scratch: the lane-wise counterpart of
+  /// PlanInstance's NodeFrame, plus the node's per-lane result, frozen
+  /// at the iteration where each lane converged.
+  struct NodeFrame {
+    std::vector<LaneEstimates> rows;  ///< latest estimate, per row
+    LaneFlags present;                ///< per row; lane-uniform
+    LaneFlags used = LaneFlags(kLaneWidth);    ///< intermodel_used
+    LaneFlags active = LaneFlags(kLaneWidth);  ///< still iterating
+    Lanes last_total = Lanes(kLaneWidth);      ///< previous total power
+    LaneEstimates out;
+  };
+
+  /// Play one node's fixed point over the block.  Lanes with
+  /// active_in[l] == 0 are don't-cares (their point already converged
+  /// in an enclosing node): they are not evaluated where that can be
+  /// avoided and never block convergence.
+  void run_node_batch(std::uint32_t node_id, std::size_t width,
+                      const std::uint8_t* active_in);
   /// Captured-terms fast path for one primitive row (see batch.cpp).
   /// Returns false when the row must run the general per-lane evaluate.
   bool run_row_fast(const EvalPlan::PlanRow& row, const EvalPlan::Node& node,
-                    std::size_t width, NodeAcc& acc);
+                    std::size_t width, LaneEstimates& est);
   void play_block_scalar(const std::vector<expr::SlotId>& slots,
                          const std::vector<std::vector<double>>& lane_values,
                          std::size_t width, PointColumns& out,
                          std::size_t base);
 
+  /// kExt hooks: the batched counterpart of PlanInstance::ext over
+  /// lanes [from, to), writing out[l - from].
+  void ext(std::uint32_t site, std::size_t from, std::size_t to, double* out);
+  static void ext_block(void* ctx, std::uint32_t site, std::uint32_t,
+                        double* out, std::size_t width);
+  static double ext_lane(void* ctx, std::uint32_t site, std::uint32_t,
+                         std::size_t lane);
+
   std::shared_ptr<const EvalPlan> plan_;
   expr::BatchExec exec_;
-  std::vector<NodeAcc> accs_;  ///< parallel to plan nodes
-  PlanInstance scalar_;        ///< whole-point fallback path
+  std::vector<NodeFrame> frames_;  ///< parallel to plan nodes
+  LaneEstimates sum_;              ///< one iteration's combine, any node
+  LaneFlags all_lanes_ = LaneFlags(kLaneWidth, 1);
+  PlanInstance scalar_;            ///< whole-point fallback path
   BatchStats stats_;
 };
 

@@ -91,11 +91,6 @@ class EvalPlan {
   [[nodiscard]] const expr::Module& module() const { return module_; }
   [[nodiscard]] std::uint32_t row_rank(const std::string& row) const;
 
-  /// True when the design has intermodel call sites (rowpower,
-  /// totalpower, ...): those plans need the per-point fixed-point loop
-  /// and are excluded from lane-batched execution (sheet/batch.hpp).
-  [[nodiscard]] bool has_intermodel() const { return !ext_sites_.empty(); }
-
  private:
   friend class PlanInstance;
   friend class BatchPlanInstance;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 
 #include "units/units.hpp"
@@ -214,31 +213,37 @@ std::string grid_table(const GridSweep& grid) {
 }
 
 std::string grid_csv(const GridSweep& grid) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  os << grid.x_param << ',' << grid.y_param
-     << ",total_power_w,energy_per_op_j\n";
+  std::string out = grid.x_param + ',' + grid.y_param +
+                    ",total_power_w,energy_per_op_j\n";
+  const auto field = [&out](double v, char end) {
+    units::append_double(out, v, 9);
+    out += end;
+  };
   for (std::size_t i = 0; i < grid.xs.size(); ++i) {
     for (std::size_t j = 0; j < grid.ys.size(); ++j) {
       const PlayResult& r = grid.results[i][j];
-      os << grid.xs[i] << ',' << grid.ys[j] << ','
-         << r.total.total_power().si() << ','
-         << r.total.energy_per_op.si() << '\n';
+      field(grid.xs[i], ',');
+      field(grid.ys[j], ',');
+      field(r.total.total_power().si(), ',');
+      field(r.total.energy_per_op.si(), '\n');
     }
   }
-  return os.str();
+  return out;
 }
 
 std::string sweep_csv(const std::string& param,
                       const std::vector<SweepPoint>& points) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  os << param << ",total_power_w,energy_per_op_j\n";
+  std::string out = param + ",total_power_w,energy_per_op_j\n";
+  const auto field = [&out](double v, char end) {
+    units::append_double(out, v, 9);
+    out += end;
+  };
   for (const SweepPoint& p : points) {
-    os << p.value << ',' << p.result.total.total_power().si() << ','
-       << p.result.total.energy_per_op.si() << '\n';
+    field(p.value, ',');
+    field(p.result.total.total_power().si(), ',');
+    field(p.result.total.energy_per_op.si(), '\n');
   }
-  return os.str();
+  return out;
 }
 
 std::vector<double> linspace(double from, double to, int points) {

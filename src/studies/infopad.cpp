@@ -106,4 +106,16 @@ sheet::Design make_infopad(const model::ModelRegistry& lib) {
   return d;
 }
 
+sheet::Design make_infopad_what_if(const model::ModelRegistry& lib) {
+  sheet::Design d = make_infopad(lib);
+  d.globals().set("radio_w", kRadioWatts);
+  d.globals().set("lcd_w", kDisplayWatts);
+  d.globals().set("conv_eff", kConverterEfficiency);
+  d.find_row("Radio Subsystem")->params.set_formula("p_typical", "radio_w");
+  d.find_row("Display LCDs")->params.set_formula("p_typical", "lcd_w");
+  d.find_row("Voltage Converters")
+      ->params.set_formula("efficiency", "conv_eff");
+  return d;
+}
+
 }  // namespace powerplay::studies

@@ -46,4 +46,10 @@ sheet::Design make_processor_subsystem(const model::ModelRegistry& lib);
 /// resolved by the Play engine's fixed-point iteration.
 sheet::Design make_infopad(const model::ModelRegistry& lib);
 
+/// make_infopad with the radio, LCD and converter-efficiency figures
+/// lifted into globals (radio_w, lcd_w, conv_eff) that their rows read,
+/// so sweeps and Monte Carlo runs can vary them.  Same numbers, same
+/// macro tree, same EQ 19 converter row.
+sheet::Design make_infopad_what_if(const model::ModelRegistry& lib);
+
 }  // namespace powerplay::studies

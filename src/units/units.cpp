@@ -1,6 +1,7 @@
 #include "units/units.hpp"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 
 namespace powerplay::units {
@@ -92,6 +93,15 @@ std::string format_area(double si_m2, int significant_digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f %s", frac, mantissa, chosen->symbol);
   return buf;
+}
+
+void append_double(std::string& out, double v, int precision) {
+  // %.{p}g is at most p digits plus sign, point and a 5-char exponent,
+  // so 64 bytes hold every precision up to 50.
+  char buf[64];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, precision);
+  out.append(buf, r.ptr);
 }
 
 std::string to_string(Voltage v) { return format_si(v.si(), "V"); }

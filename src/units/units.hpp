@@ -200,6 +200,11 @@ std::string format_si(double raw_si, const std::string& unit,
 /// 2.46e-6 m^2 formats as "2.458 mm^2", not "2.458 um^2".
 std::string format_area(double si_m2, int significant_digits = 4);
 
+/// Append `v` exactly as printf("%.{precision}g") — and so an ostream at
+/// setprecision(precision) — would write it, without the stream
+/// machinery: the machine-readable CSV/JSON result renderers.
+void append_double(std::string& out, double v, int precision);
+
 std::string to_string(Voltage v);
 std::string to_string(Capacitance c);
 std::string to_string(Power p);

@@ -3,10 +3,12 @@
 // play_points_columnar) against the scalar compiled-plan paths: grids
 // and point sets must come back bit-identical, lane-divergent
 // conditionals must replay without changing a bit, intermodel plans
-// must fall back to the per-point scalar fixed point, degenerate
-// batches must skip the lane machinery, and the batched substrate must
-// stay byte-deterministic across thread counts (the web_tsan target
-// runs this file under ThreadSanitizer).
+// must run the fixed point inside the lane block (lanes converging at
+// different iterations, non-convergence degrading to the scalar error,
+// nested intermodel macros), degenerate batches must skip the lane
+// machinery, and the batched substrate must stay byte-deterministic
+// across thread counts (the web_tsan target runs this file under
+// ThreadSanitizer).
 #include "sheet/batch.hpp"
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include "explore/dist.hpp"
 #include "models/berkeley_library.hpp"
 #include "sheet/sweep.hpp"
+#include "studies/infopad.hpp"
 #include "studies/vq.hpp"
 
 namespace powerplay::engine {
@@ -49,8 +52,7 @@ sheet::Design branchy_design() {
 }
 
 // Intermodel fixed point (converter fed by rowpower) with the load
-// riding on a swept global, so every columnar point must take the
-// scalar fallback.
+// riding on a swept global.
 sheet::Design converter_design() {
   sheet::Design d("conv");
   d.globals().set("vdd", 6.0);
@@ -60,6 +62,23 @@ sheet::Design converter_design() {
   auto& conv = d.add_row("Conv", lib().find_shared("dcdc_converter"));
   conv.params.set("efficiency", 0.8);
   conv.params.set_formula("p_load", "rowpower(\"Load\")");
+  return d;
+}
+
+// A converter whose load is totalpower() — its own dissipation
+// included — so the fixed point is a geometric series with ratio
+// (1 - eff) / eff: a per-lane efficiency gives per-lane iteration
+// counts, and eff <= 0.5 never converges.
+sheet::Design self_fed_converter(const std::string& name = "self_fed") {
+  sheet::Design d(name);
+  d.globals().set("vdd", 6.0);
+  d.globals().set("p_base", 1.0);
+  d.globals().set("eff", 0.8);
+  d.add_row("Load", lib().find_shared("datasheet_component"))
+      .params.set_formula("p_typical", "p_base");
+  auto& conv = d.add_row("Conv", lib().find_shared("dcdc_converter"));
+  conv.params.set_formula("efficiency", "eff");
+  conv.params.set_formula("p_load", "totalpower()");
   return d;
 }
 
@@ -174,10 +193,10 @@ TEST(BatchPoints, LaneDivergentConditionalReplaysWithoutDrift) {
   EXPECT_EQ(c.scalar_fallback_points, 0u);
 }
 
-TEST(BatchPoints, IntermodelPlansFallBackToScalarFixedPoint) {
-  // The converter design needs the per-point fixed point (rowpower):
-  // the columnar call must answer bit-identically via the scalar
-  // fallback and count every point as a fallback.
+TEST(BatchPoints, IntermodelPlansBatchTheFixedPoint) {
+  // The converter design needs the fixed point (rowpower): the columnar
+  // call runs it inside the lane blocks and must answer bit-identically
+  // to the scalar per-point fixed point, with no point falling back.
   EvalEngine engine;
   const sheet::Design d = converter_design();
   std::vector<std::vector<double>> points;
@@ -189,8 +208,183 @@ TEST(BatchPoints, IntermodelPlansFallBackToScalarFixedPoint) {
   const auto cols = engine.play_points_columnar(d, {"vdd", "p_base"}, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
-  EXPECT_EQ(c.scalar_fallback_points, points.size());
-  EXPECT_EQ(c.blocks, 0u);
+  EXPECT_GT(c.blocks, 0u);
+  EXPECT_EQ(c.scalar_fallback_points, 0u);
+}
+
+// --- the intermodel fixed point in lane blocks ------------------------------
+
+const char* const kInfoPadDists =
+    "radio_w=uniform(0.2,0.6);lcd_w=normal(0.446,0.05);"
+    "conv_eff=uniform(0.7,0.9)";
+
+TEST(BatchFixedPoint, InfoPadTenThousandPointsBitIdenticalToScalar) {
+  // The paper's Fig 5 design with its EQ 19 converter row, radio, LCD
+  // and converter efficiency varied per point the way explore jobs do.
+  EvalEngine engine;
+  const sheet::Design d = studies::make_infopad_what_if(lib());
+  const std::vector<std::string> params{"radio_w", "lcd_w", "conv_eff"};
+  const auto points =
+      explore::sample_points(explore::parse_dist_params(kInfoPadDists), 10240,
+                             7);
+  const auto plays = engine.play_points(d, params, points);
+  const auto cols = engine.play_points_columnar(d, params, points);
+  expect_columns_match_plays(cols, plays);
+  const BatchCounters c = engine.batch_counters();
+  EXPECT_EQ(c.blocks, points.size() / sheet::BatchPlanInstance::kLaneWidth);
+  EXPECT_EQ(c.scalar_fallback_points, 0u);
+  // Both macro sub-trees read no swept global: captured terms per block.
+  EXPECT_GT(c.term_capture_rows, 0u);
+}
+
+TEST(BatchFixedPoint, InfoPadBitIdenticalAcrossThreadCounts) {
+  EngineOptions one;
+  one.executor.thread_count = 1;
+  EngineOptions eight;
+  eight.executor.thread_count = 8;
+  EvalEngine e1(one);
+  EvalEngine e8(eight);
+  const sheet::Design d = studies::make_infopad_what_if(lib());
+  const std::vector<std::string> params{"radio_w", "lcd_w", "conv_eff"};
+  const auto points =
+      explore::sample_points(explore::parse_dist_params(kInfoPadDists), 1000,
+                             3);
+  const auto a = e1.play_points_columnar(d, params, points);
+  const auto b = e8.play_points_columnar(d, params, points);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.power_w[i], b.power_w[i]) << i;
+    EXPECT_EQ(a.energy_j[i], b.energy_j[i]) << i;
+    EXPECT_EQ(a.area_m2[i], b.area_m2[i]) << i;
+    EXPECT_EQ(a.delay_s[i], b.delay_s[i]) << i;
+  }
+}
+
+TEST(BatchFixedPoint, LanesConvergingAtDifferentIterations) {
+  EvalEngine engine;
+  const sheet::Design d = self_fed_converter();
+  std::vector<std::vector<double>> points;
+  for (std::size_t i = 0; i < 192; ++i) {
+    const double t = static_cast<double>(i) / 191.0;
+    points.push_back({0.65 + 0.34 * t, 0.5 + static_cast<double>(i % 7)});
+  }
+  // The scalar plan really does need different iteration counts.
+  const auto plan = sheet::EvalPlan::compile(d);
+  sheet::PlanInstance inst(plan);
+  inst.bind_from(d);
+  std::vector<int> iterations;
+  for (const double eff : {0.65, 0.8, 0.99}) {
+    inst.bind(*plan->global_slot("eff"), eff);
+    (void)inst.play();
+    iterations.push_back(inst.stats().iterations);
+  }
+  EXPECT_GT(iterations[0], iterations[1]);
+  EXPECT_GT(iterations[1], iterations[2]);
+
+  const auto plays = engine.play_points(d, {"eff", "p_base"}, points);
+  const auto cols = engine.play_points_columnar(d, {"eff", "p_base"}, points);
+  expect_columns_match_plays(cols, plays);
+  const BatchCounters c = engine.batch_counters();
+  EXPECT_EQ(c.blocks, 3u);
+  EXPECT_EQ(c.scalar_fallback_points, 0u);
+}
+
+TEST(BatchFixedPoint, ConditionalIntermodelCallReplaysPerLane) {
+  // Only lanes with sel > 0.5 call totalpower(): the conditional splits
+  // the block, so the extension op runs through the per-lane replay
+  // hook, and only those lanes mark the node as intermodel-used.
+  sheet::Design d = self_fed_converter("per_lane_use");
+  d.globals().set("sel", 1.0);
+  d.find_row("Conv")->params.set_formula("p_load",
+                                         "sel > 0.5 ? totalpower() : 1.5");
+  EvalEngine engine;
+  std::vector<std::vector<double>> points;
+  for (std::size_t i = 0; i < 128; ++i) {
+    points.push_back({static_cast<double>(i % 3) * 0.4,
+                      0.7 + 0.002 * static_cast<double>(i)});
+  }
+  const auto plays = engine.play_points(d, {"sel", "eff"}, points);
+  const auto cols = engine.play_points_columnar(d, {"sel", "eff"}, points);
+  expect_columns_match_plays(cols, plays);
+  const BatchCounters c = engine.batch_counters();
+  EXPECT_EQ(c.blocks, 2u);
+  EXPECT_GT(c.lane_replays, 0u);
+  EXPECT_EQ(c.scalar_fallback_points, 0u);
+}
+
+TEST(BatchFixedPoint, NonConvergingLaneDegradesToTheScalarError) {
+  // eff = 0.5 makes the series ratio 1: that lane never settles, the
+  // block degrades, and the error is the scalar one for the lowest
+  // failing point.
+  EvalEngine engine;
+  const sheet::Design d = self_fed_converter();
+  std::vector<std::vector<double>> points;
+  for (std::size_t i = 0; i < 128; ++i) {
+    const bool diverges = i == 70 || i == 90;
+    points.push_back({diverges ? 0.5 : 0.9});
+  }
+  std::string scalar_error;
+  try {
+    (void)engine.play_points(d, {"eff"}, points);
+  } catch (const expr::ExprError& e) {
+    scalar_error = e.what();
+  }
+  ASSERT_NE(scalar_error.find("did not converge"), std::string::npos)
+      << scalar_error;
+  std::string batch_error;
+  try {
+    (void)engine.play_points_columnar(d, {"eff"}, points);
+  } catch (const expr::ExprError& e) {
+    batch_error = e.what();
+  }
+  EXPECT_EQ(batch_error, scalar_error);
+
+  // The block before the failing one still batched cleanly.
+  points.resize(64);
+  const auto plays = engine.play_points(d, {"eff"}, points);
+  const auto cols = engine.play_points_columnar(d, {"eff"}, points);
+  expect_columns_match_plays(cols, plays);
+}
+
+TEST(BatchFixedPoint, NestedIntermodelMacroInsideIntermodelParent) {
+  // The macro has its own self-fed converter, the parent's converter
+  // reads the macro row through rowpower and totalpower, and the macro
+  // row reads the parent's converter back: the macro row is iterative,
+  // so the sub-node's fixed point reruns inside every parent iteration,
+  // per lane.
+  const sheet::Design sub = self_fed_converter("power_island");
+  sheet::Design d("nested");
+  d.globals().set("vdd", 6.0);
+  d.globals().set("eff_root", 0.85);
+  d.globals().set("p_root", 2.0);
+  auto& island =
+      d.add_macro("Island", std::make_shared<const sheet::Design>(sub));
+  island.params.set_formula("eff", "eff_root - 0.1");
+  island.params.set_formula("p_base",
+                            "p_root * 0.5 + 0.01 * rowpower(\"Main Conv\")");
+  d.add_row("Radio", lib().find_shared("datasheet_component"))
+      .params.set_formula("p_typical", "p_root / 4");
+  auto& conv = d.add_row("Main Conv", lib().find_shared("dcdc_converter"));
+  conv.params.set_formula("efficiency", "eff_root");
+  conv.params.set_formula("p_load",
+                          "totalpower() - rowpower(\"Main Conv\") + "
+                          "0.1 * rowpower(\"Island\")");
+
+  EvalEngine engine;
+  std::vector<std::vector<double>> points;
+  for (std::size_t i = 0; i < 160; ++i) {
+    const double t = static_cast<double>(i) / 159.0;
+    points.push_back({0.78 + 0.2 * t, 0.5 + static_cast<double>(i % 5)});
+  }
+  EXPECT_EQ(sheet::EvalPlan::compile(d)->row_rank("Island"),
+            sheet::EvalPlan::kIterativeRank);
+  const auto plays = engine.play_points(d, {"eff_root", "p_root"}, points);
+  const auto cols =
+      engine.play_points_columnar(d, {"eff_root", "p_root"}, points);
+  expect_columns_match_plays(cols, plays);
+  const BatchCounters c = engine.batch_counters();
+  EXPECT_EQ(c.blocks, 3u);
+  EXPECT_EQ(c.scalar_fallback_points, 0u);
 }
 
 TEST(BatchPoints, ErrorsMatchTheScalarPath) {

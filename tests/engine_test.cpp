@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -294,6 +295,63 @@ TEST(JobManager, LifecycleAndSnapshot) {
   EXPECT_EQ(listed[0].id, id);
   EXPECT_TRUE(jobs.list("nobody").empty());
   EXPECT_FALSE(jobs.get(id + 999).has_value());
+}
+
+TEST(JobManager, ProgressNeverGoesBackwardsUnderOutOfOrderReports) {
+  // Parallel sweeps count `done` with a fetch_add outside the job lock,
+  // so reports reach the callback out of order.  Several threads each
+  // report a descending run of counts while reading the snapshot back:
+  // the visible progress must never move down, and a finished job must
+  // read done == total even when its last report was a stale one.
+  constexpr std::size_t kTotal = 144;
+  constexpr std::size_t kThreads = 6;
+  JobManager jobs(1, 16);
+  std::atomic<std::uint64_t> job_id{0};
+  std::atomic<bool> monotone{true};
+  const std::uint64_t id = jobs.submit(
+      "race", "out of order", [&](const JobManager::Progress& progress) {
+        while (job_id.load() == 0) std::this_thread::yield();
+        std::vector<std::thread> reporters;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+          reporters.emplace_back([&, t] {
+            std::size_t seen = 0;
+            for (std::size_t v = kTotal - t; v > kThreads; v -= kThreads) {
+              progress(v, kTotal);
+              const auto snap = jobs.get(job_id.load());
+              if (!snap || snap->done < seen || snap->done < v) {
+                monotone.store(false);
+              }
+              if (snap) seen = snap->done;
+            }
+          });
+        }
+        for (std::thread& r : reporters) r.join();
+        progress(64, kTotal);  // a late block's stale count
+        const auto snap = jobs.get(job_id.load());
+        if (!snap || snap->done != kTotal) monotone.store(false);
+        return JobResult{"t", "c"};
+      });
+  job_id.store(id);
+  jobs.wait_idle();
+  EXPECT_TRUE(monotone.load());
+  const auto done = jobs.get(id);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->status, JobStatus::kDone);
+  EXPECT_EQ(done->done, kTotal);
+  EXPECT_EQ(done->total, kTotal);
+
+  // A job whose largest report fell short still ends done == total.
+  const std::uint64_t short_id = jobs.submit(
+      "race", "short", [](const JobManager::Progress& progress) {
+        progress(64, kTotal);
+        return JobResult{"t", "c"};
+      });
+  jobs.wait_idle();
+  const auto short_done = jobs.get(short_id);
+  ASSERT_TRUE(short_done.has_value());
+  EXPECT_EQ(short_done->status, JobStatus::kDone);
+  EXPECT_EQ(short_done->done, kTotal);
+  EXPECT_EQ(short_done->total, kTotal);
 }
 
 TEST(JobManager, FailedJobCarriesError) {

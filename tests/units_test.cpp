@@ -2,6 +2,15 @@
 // the library rides on these operators, so their algebra must be exact.
 #include "units/units.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace powerplay::units {
@@ -105,6 +114,48 @@ TEST(UnitsFormat, AreaUsesSquaredPrefixes) {
   EXPECT_EQ(format_area(2.0), "2.000 m^2");
   EXPECT_EQ(format_area(0.0), "0 m^2");
   EXPECT_EQ(to_string(Area{1e-6}), "1.000 mm^2");
+}
+
+// append_double is printf %.{p}g, so an ostream at setprecision(p) is
+// its oracle: the CSV/JSON renderers switched from one to the other
+// and must not change a byte.
+TEST(UnitsFormat, AppendDoubleMatchesOstreamOracle) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1e9, 123456789012.0, -9007199254740993.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 2.2250738585072009e-308,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-320, 308);
+  std::uniform_int_distribution<std::uint64_t> integer(1'000'000'000ULL,
+                                                       1ULL << 62);
+  for (int i = 0; i < 4000; ++i) {
+    // Decimal magnitudes across the whole range, denormals included.
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+    // Raw bit patterns: every exponent field, NaN payloads, infinities.
+    values.push_back(std::bit_cast<double>(rng()));
+    // Integers >= 1e9 (the %g switch to exponent form).
+    values.push_back(static_cast<double>(integer(rng)));
+  }
+  ASSERT_GE(values.size(), 10000u);
+  for (const int precision : {9, 17}) {
+    for (const double v : values) {
+      std::ostringstream oracle;
+      oracle.precision(precision);
+      oracle << 'x' << v;
+      std::string got = "x";
+      append_double(got, v, precision);
+      ASSERT_EQ(got, oracle.str())
+          << "precision " << precision << ", bits 0x" << std::hex
+          << std::bit_cast<std::uint64_t>(v);
+    }
+  }
 }
 
 TEST(Units, ThermalVoltageConstant) {
