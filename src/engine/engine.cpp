@@ -2,41 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <optional>
+#include <stdexcept>
 
 namespace powerplay::engine {
 
 namespace {
 
-// Derived per-point Play-cache keys for the clone-free sweeps.  Hashing
-// the whole design per point (fingerprint(design, overrides)) costs
-// more than the compiled Play itself on small sheets, so sweeps fold
-// the swept parameter's identity and value into the design fingerprint
-// computed once per sweep.  Identical sweeps of content-equal designs
-// produce identical keys, which is what memoizes repeated jobs; the
-// keys are NOT the digests of equivalently edited clones, so sweep
-// entries are not shared with play() of a hand-edited design (a miss
-// there is a correctness no-op).
-std::uint64_t fold(std::uint64_t h, std::uint64_t block) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (block >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;  // FNV-1a prime
+// The plan interns every root global and every root-row local binding
+// (EvalPlan::compile), and stored designs have no parent scope, so a
+// name that passed sheet::require_global(s) always has a slot.
+expr::SlotId slot_of(const std::optional<expr::SlotId>& slot,
+                     const std::string& name) {
+  if (!slot) {
+    throw std::logic_error("EvalEngine: no plan slot for '" + name + "'");
   }
-  return h;
-}
-
-std::uint64_t fold(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fold(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return fold(h, bits);
+  return *slot;
 }
 
 }  // namespace
@@ -66,176 +47,26 @@ std::shared_ptr<const sheet::PlayResult> EvalEngine::play(
   return fresh;
 }
 
-std::shared_ptr<const sheet::PlayResult> EvalEngine::play_bound(
-    sheet::PlanInstance& inst, std::uint64_t key) {
-  if (auto cached = cache_.find(key)) return cached;
-  auto fresh = std::make_shared<const sheet::PlayResult>(inst.play());
-  cache_.insert(key, fresh);
-  return fresh;
-}
-
-std::size_t EvalEngine::chunk_count(std::size_t points) const {
+std::size_t EvalEngine::chunk_count(std::size_t blocks) const {
   // Enough chunks to keep every worker busy with some slack for uneven
-  // point costs, few enough that one PlanInstance amortizes over many
-  // points.  One worker gets one chunk: no load to balance, and a single
-  // PlanInstance serves the whole sweep.
+  // block costs, few enough that one BatchPlanInstance amortizes over
+  // many blocks.  One worker gets one chunk: no load to balance, and a
+  // single instance serves the whole sweep.
   if (executor_.thread_count() <= 1) return 1;
   const std::size_t target = executor_.thread_count() * 2;
-  return std::max<std::size_t>(1, std::min(points, target));
-}
-
-std::vector<sheet::SweepPoint> EvalEngine::sweep_global(
-    const sheet::Design& design, const std::string& param,
-    const std::vector<double>& values, const sheet::SweepProgress& progress) {
-  sheet::require_global(design, param, "sweep_global");
-  auto plan = plan_for(design);
-  const auto slot = plan->global_slot(param);
-  if (!slot) {
-    // The binding exists but is not slot-addressable (inherited through
-    // a parent scope): fall back to the clone-per-point path.
-    return sheet::sweep_global(
-        executor_, design, param, values,
-        [this](const sheet::Design& d) { return *play(d); }, progress);
-  }
-  const std::size_t n = values.size();
-  std::vector<sheet::SweepPoint> out(n);
-  std::atomic<std::size_t> done{0};
-  const std::size_t chunks = chunk_count(n);
-  const std::uint64_t base = fold(fingerprint(design), "g:" + param);
-  parallel_for(executor_, chunks, [&](std::size_t c) {
-    sheet::PlanInstance inst(plan);
-    inst.bind_from(design);
-    for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
-      inst.bind(*slot, values[i]);
-      out[i] = sheet::SweepPoint{values[i],
-                                 *play_bound(inst, fold(base, values[i]))};
-      if (progress) progress(done.fetch_add(1) + 1, n);
-    }
-  });
-  return out;
-}
-
-std::vector<sheet::SweepPoint> EvalEngine::sweep_row_param(
-    const sheet::Design& design, const std::string& row,
-    const std::string& param, const std::vector<double>& values,
-    const sheet::SweepProgress& progress) {
-  const sheet::Row* r = design.find_row(row);
-  if (r == nullptr) {
-    throw expr::ExprError("sweep_row_param: no row named '" + row +
-                          "' in design '" + design.name() + "'");
-  }
-  sheet::require_row_param(design, *r, param);
-  if (values.empty()) return {};
-
-  // When the row does not bind the parameter locally (it rides on a
-  // model default or a macro global), the serial path's Scope::set
-  // *creates* the binding — a structural change.  One clone per sweep
-  // (not per point) materializes that binding so the plan has a slot
-  // for it; per-point digests still match the serial clone-and-set.
-  const bool local = r->params.has_local(param);
-  sheet::Design materialized = design;
-  if (!local) materialized.find_row(row)->params.set(param, values[0]);
-  const sheet::Design& src = local ? design : materialized;
-
-  auto plan = plan_for(src);
-  const auto slot = plan->row_param_slot(row, param);
-  if (!slot) {
-    return sheet::sweep_row_param(
-        executor_, design, row, param, values,
-        [this](const sheet::Design& d) { return *play(d); }, progress);
-  }
-  const std::size_t n = values.size();
-  std::vector<sheet::SweepPoint> out(n);
-  std::atomic<std::size_t> done{0};
-  const std::size_t chunks = chunk_count(n);
-  const std::uint64_t base =
-      fold(fingerprint(src), "r:" + row + ":" + param);
-  parallel_for(executor_, chunks, [&](std::size_t c) {
-    sheet::PlanInstance inst(plan);
-    inst.bind_from(src);
-    for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
-      inst.bind(*slot, values[i]);
-      out[i] = sheet::SweepPoint{values[i],
-                                 *play_bound(inst, fold(base, values[i]))};
-      if (progress) progress(done.fetch_add(1) + 1, n);
-    }
-  });
-  return out;
-}
-
-std::vector<sheet::PlayResult> EvalEngine::play_points(
-    const sheet::Design& design, const std::vector<std::string>& params,
-    const std::vector<std::vector<double>>& points,
-    const sheet::SweepProgress& progress) {
-  sheet::require_globals(design, params, "play_points");
-  for (const std::vector<double>& point : points) {
-    if (point.size() != params.size()) {
-      throw expr::ExprError(
-          "play_points: every point must bind exactly " +
-          std::to_string(params.size()) + " parameter value(s)");
-    }
-  }
-  const std::size_t n = points.size();
-  if (n == 0) return {};
-
-  auto plan = plan_for(design);
-  std::vector<expr::SlotId> slots;
-  slots.reserve(params.size());
-  bool slot_bound = true;
-  for (const std::string& param : params) {
-    const auto slot = plan->global_slot(param);
-    if (!slot) {
-      slot_bound = false;
-      break;
-    }
-    slots.push_back(*slot);
-  }
-
-  std::vector<sheet::PlayResult> out(n);
-  std::atomic<std::size_t> done{0};
-
-  if (!slot_bound) {
-    // Some binding is not slot-addressable (inherited through a parent
-    // scope): clone-per-point fallback, memoized by full fingerprint.
-    parallel_for(executor_, n, [&](std::size_t i) {
-      sheet::Design work = design;
-      for (std::size_t j = 0; j < params.size(); ++j) {
-        work.globals().set(params[j], points[i][j]);
-      }
-      out[i] = *play(work);
-      if (progress) progress(done.fetch_add(1) + 1, n);
-    });
-    return out;
-  }
-
-  std::uint64_t base = fold(fingerprint(design), "pts:");
-  for (const std::string& param : params) base = fold(base, param + ";");
-  const std::size_t chunks = chunk_count(n);
-  parallel_for(executor_, chunks, [&](std::size_t c) {
-    sheet::PlanInstance inst(plan);
-    inst.bind_from(design);
-    for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
-      std::uint64_t key = base;
-      for (std::size_t j = 0; j < slots.size(); ++j) {
-        inst.bind(slots[j], points[i][j]);
-        key = fold(key, points[i][j]);
-      }
-      out[i] = *play_bound(inst, key);
-      if (progress) progress(done.fetch_add(1) + 1, n);
-    }
-  });
-  return out;
+  return std::max<std::size_t>(1, std::min(blocks, target));
 }
 
 template <typename FillLanes>
-void EvalEngine::run_columnar(const sheet::Design& design,
+void EvalEngine::run_columnar(std::shared_ptr<const sheet::EvalPlan> plan,
+                              const sheet::Design& design,
                               const std::vector<expr::SlotId>& slots,
                               std::size_t total, sheet::PointColumns& out,
                               const sheet::SweepProgress& progress,
                               FillLanes&& fill_lanes) {
   constexpr std::size_t kW = sheet::BatchPlanInstance::kLaneWidth;
-  auto plan = plan_for(design);
   out.resize(total);
+  if (total == 0) return;
   const std::size_t blocks = (total + kW - 1) / kW;
   std::atomic<std::size_t> done{0};
   const std::size_t chunks = chunk_count(blocks);
@@ -265,6 +96,51 @@ void EvalEngine::run_columnar(const sheet::Design& design,
   });
 }
 
+sheet::ColumnarSweep EvalEngine::sweep_columnar(
+    const sheet::Design& design, const std::string& row,
+    const std::string& param, const std::vector<double>& values,
+    const sheet::SweepProgress& progress) {
+  const sheet::Row* r = nullptr;
+  if (row.empty()) {
+    sheet::require_global(design, param, "sweep_global");
+  } else {
+    r = design.find_row(row);
+    if (r == nullptr) {
+      throw expr::ExprError("sweep_row_param: no row named '" + row +
+                            "' in design '" + design.name() + "'");
+    }
+    sheet::require_row_param(design, *r, param);
+  }
+  sheet::ColumnarSweep out;
+  out.param = param;
+  out.values = values;
+  if (values.empty()) return out;
+
+  // When the row does not bind the parameter (it rides on a model
+  // default or a macro global), the serial path's Scope::set *creates*
+  // the binding — a structural change.  One clone per sweep, not per
+  // point, materializes it so the plan has a slot for it.
+  std::optional<sheet::Design> materialized;
+  if (r != nullptr && !r->params.has_local(param)) {
+    materialized.emplace(design);
+    materialized->find_row(row)->params.set(param, values[0]);
+  }
+  const sheet::Design& src = materialized ? *materialized : design;
+  auto plan = plan_for(src);
+  const expr::SlotId slot =
+      r == nullptr ? slot_of(plan->global_slot(param), param)
+                   : slot_of(plan->row_param_slot(row, param),
+                             row + "." + param);
+  run_columnar(std::move(plan), src, {slot}, values.size(), out.cols,
+               progress,
+               [&](std::size_t base, std::size_t width,
+                   std::vector<std::vector<double>>& lanes) {
+                 std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(base),
+                             width, lanes[0].begin());
+               });
+  return out;
+}
+
 sheet::ColumnarGrid EvalEngine::sweep_grid_columnar(
     const sheet::Design& design, const std::string& x_param,
     const std::vector<double>& xs, const std::string& y_param,
@@ -278,33 +154,12 @@ sheet::ColumnarGrid EvalEngine::sweep_grid_columnar(
   out.y_param = y_param;
   out.xs = xs;
   out.ys = ys;
-  const std::size_t total = xs.size() * ys.size();
   auto plan = plan_for(design);
-  const auto x_slot = plan->global_slot(x_param);
-  const auto y_slot = plan->global_slot(y_param);
-  if (!x_slot || !y_slot || total <= 1) {
-    // Non-slot-addressable bindings or a degenerate (empty /
-    // single-point) grid: run the scalar grid sweep and read its
-    // columns out — no lane arrays are ever allocated.
-    const sheet::GridSweep g =
-        sweep_grid(design, x_param, xs, y_param, ys, progress);
-    out.cols.resize(total);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      for (std::size_t j = 0; j < ys.size(); ++j) {
-        const std::size_t k = i * ys.size() + j;
-        const sheet::PlayResult& r = g.results[i][j];
-        out.cols.power_w[k] = r.total.total_power().si();
-        out.cols.energy_j[k] = r.total.energy_per_op.si();
-        out.cols.area_m2[k] = r.total.area.si();
-        out.cols.delay_s[k] = r.total.delay.si();
-      }
-    }
-    batch_points_.fetch_add(total, std::memory_order_relaxed);
-    batch_fallback_points_.fetch_add(total, std::memory_order_relaxed);
-    return out;
-  }
-  const std::vector<expr::SlotId> slots{*x_slot, *y_slot};
-  run_columnar(design, slots, total, out.cols, progress,
+  const std::vector<expr::SlotId> slots{
+      slot_of(plan->global_slot(x_param), x_param),
+      slot_of(plan->global_slot(y_param), y_param)};
+  run_columnar(std::move(plan), design, slots, xs.size() * ys.size(),
+               out.cols, progress,
                [&](std::size_t base, std::size_t width,
                    std::vector<std::vector<double>>& lanes) {
                  for (std::size_t l = 0; l < width; ++l) {
@@ -328,41 +183,15 @@ sheet::PointColumns EvalEngine::play_points_columnar(
           std::to_string(params.size()) + " parameter value(s)");
     }
   }
-  const std::size_t n = points.size();
   sheet::PointColumns out;
-  if (n == 0) return out;
-
+  if (points.empty()) return out;
   auto plan = plan_for(design);
   std::vector<expr::SlotId> slots;
   slots.reserve(params.size());
-  bool slot_bound = true;
   for (const std::string& param : params) {
-    const auto slot = plan->global_slot(param);
-    if (!slot) {
-      slot_bound = false;
-      break;
-    }
-    slots.push_back(*slot);
+    slots.push_back(slot_of(plan->global_slot(param), param));
   }
-
-  if (!slot_bound || n <= 1) {
-    // Scalar path for non-slot-addressable bindings and degenerate
-    // batches (no lane arrays, no lane partitioning).
-    const std::vector<sheet::PlayResult> rs =
-        play_points(design, params, points, progress);
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.power_w[i] = rs[i].total.total_power().si();
-      out.energy_j[i] = rs[i].total.energy_per_op.si();
-      out.area_m2[i] = rs[i].total.area.si();
-      out.delay_s[i] = rs[i].total.delay.si();
-    }
-    batch_points_.fetch_add(n, std::memory_order_relaxed);
-    batch_fallback_points_.fetch_add(n, std::memory_order_relaxed);
-    return out;
-  }
-
-  run_columnar(design, slots, n, out, progress,
+  run_columnar(std::move(plan), design, slots, points.size(), out, progress,
                [&](std::size_t base, std::size_t width,
                    std::vector<std::vector<double>>& lanes) {
                  for (std::size_t l = 0; l < width; ++l) {
@@ -385,52 +214,6 @@ BatchCounters EvalEngine::batch_counters() const {
   c.term_capture_rows =
       batch_term_capture_rows_.load(std::memory_order_relaxed);
   return c;
-}
-
-sheet::GridSweep EvalEngine::sweep_grid(const sheet::Design& design,
-                                        const std::string& x_param,
-                                        const std::vector<double>& xs,
-                                        const std::string& y_param,
-                                        const std::vector<double>& ys,
-                                        const sheet::SweepProgress& progress) {
-  if (x_param == y_param) {
-    throw expr::ExprError("sweep_grid: the two parameters must differ");
-  }
-  sheet::require_globals(design, {x_param, y_param}, "sweep_grid");
-  auto plan = plan_for(design);
-  const auto x_slot = plan->global_slot(x_param);
-  const auto y_slot = plan->global_slot(y_param);
-  if (!x_slot || !y_slot) {
-    return sheet::sweep_grid(
-        executor_, design, x_param, xs, y_param, ys,
-        [this](const sheet::Design& d) { return *play(d); }, progress);
-  }
-  sheet::GridSweep out;
-  out.x_param = x_param;
-  out.y_param = y_param;
-  out.xs = xs;
-  out.ys = ys;
-  out.results.assign(xs.size(), std::vector<sheet::PlayResult>(ys.size()));
-  const std::size_t total = xs.size() * ys.size();
-  std::atomic<std::size_t> done{0};
-  const std::size_t chunks = chunk_count(total);
-  const std::uint64_t base =
-      fold(fingerprint(design), "g2:" + x_param + ":" + y_param);
-  parallel_for(executor_, chunks, [&](std::size_t c) {
-    sheet::PlanInstance inst(plan);
-    inst.bind_from(design);
-    for (std::size_t k = c * total / chunks; k < (c + 1) * total / chunks;
-         ++k) {
-      const std::size_t i = k / ys.size();
-      const std::size_t j = k % ys.size();
-      inst.bind(*x_slot, xs[i]);
-      inst.bind(*y_slot, ys[j]);
-      out.results[i][j] =
-          *play_bound(inst, fold(fold(base, xs[i]), ys[j]));
-      if (progress) progress(done.fetch_add(1) + 1, total);
-    }
-  });
-  return out;
 }
 
 }  // namespace powerplay::engine

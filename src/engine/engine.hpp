@@ -1,21 +1,21 @@
 // engine.hpp — the parallel evaluation engine.
 //
 // One EvalEngine per process (the web app owns one): a thread-pool
-// executor for Playing independent sweep points concurrently, a
+// executor that evaluates independent sweep points concurrently, a
 // memoized Play cache so an unchanged design — a reloaded page, a
-// revisited sweep point, a second user opening a shared design — costs
-// a hash instead of a fixed-point evaluation, and a plan cache of
-// compiled EvalPlans (sheet/plan.hpp) keyed by structural fingerprint
-// so the compile cost is paid once per design *shape*, not per edit.
+// second user opening a shared design — costs a hash instead of a
+// fixed-point evaluation, and a plan cache of compiled EvalPlans
+// (sheet/plan.hpp) keyed by structural fingerprint so the compile cost
+// is paid once per design *shape*, not per edit.
 //
-// Sweeps are clone-free: instead of copying the whole design per point
-// (the serial paths in sheet/sweep.hpp), each worker holds one
-// PlanInstance over the shared plan and re-binds the swept parameter's
-// slot per point.  Results are bit-identical to the serial loops.
-// Per-point Play-cache keys are derived — the design fingerprint
-// computed once per sweep, folded with the swept parameter's identity
-// and value — so keying costs nanoseconds per point and repeated
-// sweeps (re-submitted jobs, multiple users) hit the cache.
+// Every sweep and point set runs on one substrate: the lane-batched
+// columnar path (sheet/batch.hpp).  Points partition into 64-lane
+// blocks by point index, each worker plays its blocks through one
+// BatchPlanInstance over the shared plan, re-binding the swept slots
+// per lane, and four metric columns come back instead of per-point
+// PlayResults.  Results are bit-identical to the serial interpreter
+// loops in sheet/sweep.hpp at any thread count.  Sweeps bypass the
+// Play cache.
 #pragma once
 
 #include <atomic>
@@ -45,8 +45,7 @@ using PlanCache = LruCache<sheet::EvalPlan>;
 /// Process-lifetime counters for the lane-batched columnar paths
 /// (served on /healthz).  `scalar_fallback_points` counts points a
 /// columnar call evaluated through the whole-point scalar path
-/// (non-slot-addressable bindings, degenerate batches, blocks degraded
-/// by an error); `lane_replays` counts programs the batch interpreter had
+/// (single-point blocks, blocks degraded by an error); `lane_replays` counts programs the batch interpreter had
 /// to replay lane-by-lane (divergent conditionals, would-throw
 /// conditions).
 struct BatchCounters {
@@ -77,56 +76,33 @@ class EvalEngine {
   [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play(
       const sheet::Design& design);
 
-  /// Engine-backed sweeps: parallel over the executor, memoized per
-  /// point, one PlanInstance per worker chunk (no design clones).
-  /// Same signatures, validation, errors and results as the serial
-  /// entry points in sheet/sweep.hpp.
-  [[nodiscard]] std::vector<sheet::SweepPoint> sweep_global(
-      const sheet::Design& design, const std::string& param,
-      const std::vector<double>& values,
-      const sheet::SweepProgress& progress = {});
-
-  [[nodiscard]] std::vector<sheet::SweepPoint> sweep_row_param(
+  /// Columnar one-parameter sweep: global `param` when `row` is empty,
+  /// otherwise parameter `param` of row `row`.  Same validation and
+  /// errors as sheet::sweep_global / sheet::sweep_row_param.  A row
+  /// parameter the row does not bind (a model default or a macro
+  /// global) is materialized on one clone per sweep, so the plan has a
+  /// slot for it.
+  [[nodiscard]] sheet::ColumnarSweep sweep_columnar(
       const sheet::Design& design, const std::string& row,
       const std::string& param, const std::vector<double>& values,
       const sheet::SweepProgress& progress = {});
 
-  [[nodiscard]] sheet::GridSweep sweep_grid(
-      const sheet::Design& design, const std::string& x_param,
-      const std::vector<double>& xs, const std::string& y_param,
-      const std::vector<double>& ys,
-      const sheet::SweepProgress& progress = {});
-
-  /// Arbitrary-dimension point evaluation — the substrate of the
-  /// exploration workloads (Monte Carlo, Pareto search, surrogate
-  /// training): Play the design once per row of `points`, where row i
-  /// binds params[j] = points[i][j] for every j.  Unknown parameters are
-  /// all reported in one ExprError (sheet::require_globals).  Results
-  /// come back in point order, each computed independently of worker
-  /// count, so output bytes are identical at 1 and N threads.
-  [[nodiscard]] std::vector<sheet::PlayResult> play_points(
-      const sheet::Design& design, const std::vector<std::string>& params,
-      const std::vector<std::vector<double>>& points,
-      const sheet::SweepProgress& progress = {});
-
-  /// Columnar grid sweep on the lane-batched substrate
-  /// (sheet/batch.hpp): points partition into kLaneWidth lane blocks
-  /// by point index — a thread-count-independent split — and each
-  /// worker streams its blocks' metrics straight into the shared
-  /// column arrays.  No per-point PlayResult is materialized and the
-  /// Play cache is bypassed entirely; values are bit-identical to
-  /// sweep_grid (tests/batch_test.cpp asserts this differentially).
-  /// Same validation and errors as sweep_grid.
+  /// Columnar grid sweep: point (i, j) binds x_param = xs[i] and
+  /// y_param = ys[j].  Each worker streams its blocks' metrics straight
+  /// into the shared column arrays.  Same validation and errors as
+  /// sheet::sweep_grid.
   [[nodiscard]] sheet::ColumnarGrid sweep_grid_columnar(
       const sheet::Design& design, const std::string& x_param,
       const std::vector<double>& xs, const std::string& y_param,
       const std::vector<double>& ys,
       const sheet::SweepProgress& progress = {});
 
-  /// Columnar counterpart of play_points: same validation, errors and
-  /// point order, four metric columns instead of PlayResults.  The
-  /// batched explore workloads (Monte Carlo, Pareto, surrogate
-  /// training) run on this.  Deterministic at any thread count.
+  /// Arbitrary-dimension point evaluation — the substrate of the
+  /// exploration workloads (Monte Carlo, Pareto search, inverse
+  /// queries, surrogate training): point i binds params[j] =
+  /// points[i][j] for every j.  Unknown parameters are all reported in
+  /// one ExprError (sheet::require_globals).  Columns come back in point
+  /// order.
   [[nodiscard]] sheet::PointColumns play_points_columnar(
       const sheet::Design& design, const std::vector<std::string>& params,
       const std::vector<std::vector<double>>& points,
@@ -136,21 +112,17 @@ class EvalEngine {
   [[nodiscard]] BatchCounters batch_counters() const;
 
  private:
-  /// Play `inst` (slots already bound for the point) under Play-cache
-  /// key `key`: probe first, insert on miss.
-  [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play_bound(
-      sheet::PlanInstance& inst, std::uint64_t key);
+  /// Block-index ranges sized so each worker chunk amortizes one
+  /// BatchPlanInstance over many blocks.
+  [[nodiscard]] std::size_t chunk_count(std::size_t blocks) const;
 
-  /// Point-index ranges sized so each worker chunk amortizes one
-  /// PlanInstance over many points.
-  [[nodiscard]] std::size_t chunk_count(std::size_t points) const;
-
-  /// Shared columnar-path driver: partition `total` points into lane
-  /// blocks, run them over the executor, accumulate batch counters.
-  /// `fill_lanes(block, base, width, lanes)` loads the slot lane
-  /// values for one block.
+  /// The one sweep loop: partition `total` points into lane blocks,
+  /// run them over the executor on `plan` (compiled from `design`),
+  /// accumulate batch counters.  `fill_lanes(base, width, lanes)` loads
+  /// the slot lane values for one block.
   template <typename FillLanes>
-  void run_columnar(const sheet::Design& design,
+  void run_columnar(std::shared_ptr<const sheet::EvalPlan> plan,
+                    const sheet::Design& design,
                     const std::vector<expr::SlotId>& slots,
                     std::size_t total, sheet::PointColumns& out,
                     const sheet::SweepProgress& progress,

@@ -1,6 +1,5 @@
 #include "engine/fingerprint.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "expr/ast.hpp"
@@ -82,37 +81,11 @@ void hash_expr(const expr::Expr& e, Fnv1a& h) {
 /// must not split the key).
 enum class Mode { kContent, kStructure };
 
-/// Replacement value for `name` in `scope`, honouring the last matching
-/// override (sequential Scope::set semantics).
-const ParamOverride* find_override(
-    const std::vector<ParamOverride>& overrides, const expr::Scope& scope,
-    const std::string& name) {
-  const ParamOverride* hit = nullptr;
-  for (const ParamOverride& ov : overrides) {
-    if (ov.scope == &scope && ov.name == name) hit = &ov;
-  }
-  return hit;
-}
-
-void hash_scope(const expr::Scope& scope, Fnv1a& h, Mode mode,
-                const std::vector<ParamOverride>& overrides) {
-  auto names = scope.local_names();  // sorted: order-independent key
-  // An override of a name the scope does not bind yet hashes exactly as
-  // the Scope::set it stands in for: a new local binding, in its sorted
-  // (std::map) position.
-  for (const ParamOverride& ov : overrides) {
-    if (ov.scope != &scope) continue;
-    const auto at = std::lower_bound(names.begin(), names.end(), ov.name);
-    if (at == names.end() || *at != ov.name) names.insert(at, ov.name);
-  }
+void hash_scope(const expr::Scope& scope, Fnv1a& h, Mode mode) {
+  const auto names = scope.local_names();  // sorted: order-independent key
   h.size(names.size());
   for (const std::string& name : names) {
     h.text(name);
-    if (const ParamOverride* ov = find_override(overrides, scope, name)) {
-      h.tag('#');
-      h.number(ov->value);
-      continue;
-    }
     const auto found = scope.lookup(name);
     if (const double* literal = std::get_if<double>(found->binding)) {
       h.tag('#');
@@ -124,11 +97,10 @@ void hash_scope(const expr::Scope& scope, Fnv1a& h, Mode mode,
   }
 }
 
-void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode,
-                 const std::vector<ParamOverride>& overrides) {
+void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode) {
   h.tag('D');
   h.text(design.name());
-  hash_scope(design.globals(), h, mode, overrides);
+  hash_scope(design.globals(), h, mode);
   // Custom functions can only be identified by name (a std::function has
   // no stable content); the engine assumes they are pure — docs/engine.md.
   const auto fns = design.function_names();
@@ -138,9 +110,9 @@ void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode,
   for (const sheet::Row& row : design.rows()) {
     h.tag(row.enabled ? 'R' : 'r');
     h.text(row.name);
-    hash_scope(row.params, h, mode, overrides);
+    hash_scope(row.params, h, mode);
     if (row.is_macro()) {
-      hash_design(*row.macro, h, mode, overrides);
+      hash_design(*row.macro, h, mode);
     } else {
       h.tag('M');
       h.text(row.model->name());
@@ -152,20 +124,13 @@ void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode,
 
 std::uint64_t fingerprint(const sheet::Design& design) {
   Fnv1a h;
-  hash_design(design, h, Mode::kContent, {});
-  return h.digest();
-}
-
-std::uint64_t fingerprint(const sheet::Design& design,
-                          const std::vector<ParamOverride>& overrides) {
-  Fnv1a h;
-  hash_design(design, h, Mode::kContent, overrides);
+  hash_design(design, h, Mode::kContent);
   return h.digest();
 }
 
 std::uint64_t structure_fingerprint(const sheet::Design& design) {
   Fnv1a h;
-  hash_design(design, h, Mode::kStructure, {});
+  hash_design(design, h, Mode::kStructure);
   return h.digest();
 }
 

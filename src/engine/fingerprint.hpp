@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sheet/design.hpp"
 
@@ -40,26 +39,6 @@ class Fnv1a {
 
 /// Content fingerprint of everything `design.play()` reads.
 std::uint64_t fingerprint(const sheet::Design& design);
-
-/// A literal substituted for one binding while hashing: `scope` is the
-/// address of a Scope inside the design being fingerprinted (its
-/// globals(), or one row's params), `name` the binding to replace.  A
-/// name the scope does not bind locally is hashed as if Scope::set had
-/// just created it.
-struct ParamOverride {
-  const expr::Scope* scope = nullptr;
-  std::string name;
-  double value = 0.0;
-};
-
-/// Fingerprint of `design` as it would hash after cloning it and
-/// Scope::set-ing each override — but without the clone.  This is how
-/// the engine's clone-free sweeps key the Play cache per point:
-/// `fingerprint(d, {{&d.globals(), "vdd", 3.3}})` equals
-/// `fingerprint(clone_with_vdd_3_3)` exactly, so plan-backed sweeps
-/// share cache entries with the serial clone-per-point paths.
-std::uint64_t fingerprint(const sheet::Design& design,
-                          const std::vector<ParamOverride>& overrides);
 
 /// Structural fingerprint: like fingerprint(), but literal bindings
 /// contribute only their existence (kind tag), not their value bits.

@@ -12,32 +12,6 @@ namespace powerplay::explore {
 
 namespace {
 
-/// Sequential metric evaluations during bisection reuse one bound
-/// PlanInstance when the parameter is slot-addressable; otherwise each
-/// evaluation goes through the engine's clone fallback.
-class MetricEval {
- public:
-  MetricEval(engine::EvalEngine& engine, const sheet::Design& design,
-             const InverseSpec& spec)
-      : engine_(&engine), design_(&design), spec_(&spec) {}
-
-  double operator()(double x) {
-    const std::vector<sheet::PlayResult> plays = engine_->play_points(
-        *design_, {spec_->param}, {{x}});
-    ++evaluations_;
-    return metric_value(plays.front(), spec_->metric);
-  }
-
-  [[nodiscard]] std::size_t evaluations() const { return evaluations_; }
-  void count(std::size_t n) { evaluations_ += n; }
-
- private:
-  engine::EvalEngine* engine_;
-  const sheet::Design* design_;
-  const InverseSpec* spec_;
-  std::size_t evaluations_ = 0;
-};
-
 std::string num(double v) {
   std::ostringstream os;
   os << std::setprecision(9) << v;
@@ -75,12 +49,12 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
     grid[i] = {spec.lo + (spec.hi - spec.lo) * static_cast<double>(i) /
                              static_cast<double>(probes - 1)};
   }
-  const std::vector<sheet::PlayResult> plays =
-      engine.play_points(design, {spec.param}, grid);
+  const sheet::PointColumns probed =
+      engine.play_points_columnar(design, {spec.param}, grid);
   tick(probes);
   std::vector<double> f(probes);
   for (std::size_t i = 0; i < probes; ++i) {
-    f[i] = metric_value(plays[i], spec.metric);
+    f[i] = metric_column(probed, i, spec.metric);
   }
 
   bool non_decreasing = true;
@@ -113,8 +87,14 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   InverseResult out;
   out.increasing = non_decreasing;
 
-  MetricEval eval(engine, design, spec);
-  eval.count(probes);
+  // The probes, then one point per bisection step.
+  std::size_t evaluations = probes;
+  const auto eval = [&](double x) {
+    ++evaluations;
+    return metric_column(
+        engine.play_points_columnar(design, {spec.param}, {{x}}), 0,
+        spec.metric);
+  };
   const auto ok = [&](double fx) {
     return spec.upper_bound ? fx <= spec.limit : fx >= spec.limit;
   };
@@ -136,14 +116,14 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   if (spec.maximize && ok_hi) {
     out.param_value = spec.hi;
     out.metric_value = f.back();
-    out.evaluations = eval.evaluations();
+    out.evaluations = evaluations;
     if (progress) progress(budget, budget);
     return out;
   }
   if (!spec.maximize && ok_lo) {
     out.param_value = spec.lo;
     out.metric_value = f.front();
-    out.evaluations = eval.evaluations();
+    out.evaluations = evaluations;
     if (progress) progress(budget, budget);
     return out;
   }
@@ -171,7 +151,7 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   out.param_value = a;
   out.metric_value = fa;
   out.iterations = iters;
-  out.evaluations = eval.evaluations();
+  out.evaluations = evaluations;
   if (progress) progress(budget, budget);
   return out;
 }

@@ -13,13 +13,6 @@ bool is_metric(const std::string& name) {
          name == "delay";
 }
 
-double metric_value(const sheet::PlayResult& play, const std::string& name) {
-  if (name == "power") return play.total.total_power().si();
-  if (name == "area") return play.total.area.si();
-  if (name == "energy") return play.total.energy_per_op.si();
-  return play.total.delay.si();
-}
-
 double metric_column(const sheet::PointColumns& cols, std::size_t i,
                      const std::string& name) {
   if (name == "power") return cols.power_w[i];

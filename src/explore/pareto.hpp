@@ -27,13 +27,8 @@ struct Objective {
 /// True for the built-in PlayResult metrics: power/area/energy/delay.
 [[nodiscard]] bool is_metric(const std::string& name);
 
-/// Read a built-in metric off a Play (SI units).  `name` must satisfy
-/// is_metric().
-[[nodiscard]] double metric_value(const sheet::PlayResult& play,
-                                  const std::string& name);
-
-/// Columnar counterpart: read metric `name` of point `i` from batch
-/// result columns (sheet/batch.hpp).  `name` must satisfy is_metric().
+/// Read built-in metric `name` (SI units) of point `i` from batch result
+/// columns (sheet/batch.hpp).  `name` must satisfy is_metric().
 [[nodiscard]] double metric_column(const sheet::PointColumns& cols,
                                    std::size_t i, const std::string& name);
 

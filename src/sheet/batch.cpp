@@ -147,11 +147,7 @@ void BatchPlanInstance::play_block_scalar(
     for (std::size_t s = 0; s < slots.size(); ++s) {
       scalar_.bind(slots[s], lane_values[s][l]);
     }
-    const PlayResult r = scalar_.play();
-    out.power_w[base + l] = r.total.total_power().si();
-    out.energy_j[base + l] = r.total.energy_per_op.si();
-    out.area_m2[base + l] = r.total.area.si();
-    out.delay_s[base + l] = r.total.delay.si();
+    out.set(base + l, scalar_.play());
     ++stats_.scalar_fallback_points;
   }
 }
@@ -490,6 +486,30 @@ std::string grid_csv(const ColumnarGrid& grid) {
       field(grid.cols.power_w[k], ',');
       field(grid.cols.energy_j[k], '\n');
     }
+  }
+  return out;
+}
+
+std::string sweep_table(const ColumnarSweep& sweep) {
+  std::ostringstream os;
+  os << sweep.param << "\ttotal power\n";
+  for (std::size_t i = 0; i < sweep.values.size(); ++i) {
+    os << sweep.values[i] << '\t'
+       << units::format_si(sweep.cols.power_w[i], "W") << '\n';
+  }
+  return os.str();
+}
+
+std::string sweep_csv(const ColumnarSweep& sweep) {
+  std::string out = sweep.param + ",total_power_w,energy_per_op_j\n";
+  const auto field = [&out](double v, char end) {
+    units::append_double(out, v, 9);
+    out += end;
+  };
+  for (std::size_t i = 0; i < sweep.values.size(); ++i) {
+    field(sweep.values[i], ',');
+    field(sweep.cols.power_w[i], ',');
+    field(sweep.cols.energy_j[i], '\n');
   }
   return out;
 }

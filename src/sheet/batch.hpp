@@ -64,6 +64,21 @@ struct PointColumns {
     delay_s.assign(n, 0.0);
   }
   [[nodiscard]] std::size_t size() const { return power_w.size(); }
+  /// Column i := the four metrics of a whole-point Play.
+  void set(std::size_t i, const PlayResult& r) {
+    power_w[i] = r.total.total_power().si();
+    energy_j[i] = r.total.energy_per_op.si();
+    area_m2[i] = r.total.area.si();
+    delay_s[i] = r.total.delay.si();
+  }
+};
+
+/// A one-parameter sweep in columnar form: column i is the point at
+/// values[i].
+struct ColumnarSweep {
+  std::string param;
+  std::vector<double> values;
+  PointColumns cols;
 };
 
 /// A grid sweep in columnar form: point (i, j) of the xs x ys grid is
@@ -189,11 +204,13 @@ class BatchPlanInstance {
   BatchStats stats_;
 };
 
-/// Render a columnar grid exactly like the PlayResult-based
-/// grid_table/grid_csv in sweep.hpp: given bit-identical point values
-/// the emitted bytes are identical.
+/// The sweep formatters.  The PlayResult-based renderers in sweep.hpp
+/// read their points into columns and render through these, so each
+/// output form has exactly one formatter.
 std::string grid_table(const ColumnarGrid& grid);
 std::string grid_csv(const ColumnarGrid& grid);
+std::string sweep_table(const ColumnarSweep& sweep);
+std::string sweep_csv(const ColumnarSweep& sweep);
 
 /// Machine-readable columnar payload for the job API: axes plus the
 /// power/energy columns as JSON arrays, streamed straight from the

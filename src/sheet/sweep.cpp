@@ -1,10 +1,6 @@
 #include "sheet/sweep.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <sstream>
-
-#include "units/units.hpp"
 
 namespace powerplay::sheet {
 
@@ -49,14 +45,6 @@ void require_row_param(const Design& design, const Row& row,
                         "' has no parameter named '" + param + "'");
 }
 
-namespace {
-
-PlayResult play_point(const Design& work, const PlayFn& play) {
-  return play ? play(work) : work.play();
-}
-
-}  // namespace
-
 std::vector<SweepPoint> sweep_global(const Design& design,
                                      const std::string& param,
                                      const std::vector<double>& values) {
@@ -68,25 +56,6 @@ std::vector<SweepPoint> sweep_global(const Design& design,
     work.globals().set(param, v);
     out.push_back(SweepPoint{v, work.play()});
   }
-  return out;
-}
-
-std::vector<SweepPoint> sweep_global(engine::Executor& executor,
-                                     const Design& design,
-                                     const std::string& param,
-                                     const std::vector<double>& values,
-                                     const PlayFn& play,
-                                     const SweepProgress& progress) {
-  require_global(design, param, "sweep_global");
-  std::vector<SweepPoint> out(values.size());
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, values.size(), [&](std::size_t i) {
-    Design work = design;
-    work.globals().set(param, values[i]);
-    out[i] = SweepPoint{values[i], play_point(work, play)};
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, values.size());
-  });
   return out;
 }
 
@@ -107,31 +76,6 @@ std::vector<SweepPoint> sweep_row_param(const Design& design,
     r->params.set(param, v);
     out.push_back(SweepPoint{v, work.play()});
   }
-  return out;
-}
-
-std::vector<SweepPoint> sweep_row_param(engine::Executor& executor,
-                                        const Design& design,
-                                        const std::string& row,
-                                        const std::string& param,
-                                        const std::vector<double>& values,
-                                        const PlayFn& play,
-                                        const SweepProgress& progress) {
-  const Row* r = design.find_row(row);
-  if (r == nullptr) {
-    throw expr::ExprError("sweep_row_param: no row named '" + row +
-                          "' in design '" + design.name() + "'");
-  }
-  require_row_param(design, *r, param);
-  std::vector<SweepPoint> out(values.size());
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, values.size(), [&](std::size_t i) {
-    Design work = design;
-    work.find_row(row)->params.set(param, values[i]);
-    out[i] = SweepPoint{values[i], play_point(work, play)};
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, values.size());
-  });
   return out;
 }
 
@@ -163,87 +107,40 @@ GridSweep sweep_grid(const Design& design, const std::string& x_param,
   return out;
 }
 
-GridSweep sweep_grid(engine::Executor& executor, const Design& design,
-                     const std::string& x_param,
-                     const std::vector<double>& xs,
-                     const std::string& y_param,
-                     const std::vector<double>& ys,
-                     const PlayFn& play,
-                     const SweepProgress& progress) {
-  if (x_param == y_param) {
-    throw expr::ExprError("sweep_grid: the two parameters must differ");
+ColumnarGrid to_columns(const GridSweep& grid) {
+  ColumnarGrid out{grid.x_param, grid.y_param, grid.xs, grid.ys, {}};
+  out.cols.resize(grid.xs.size() * grid.ys.size());
+  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
+    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
+      out.cols.set(i * grid.ys.size() + j, grid.results[i][j]);
+    }
   }
-  require_globals(design, {x_param, y_param}, "sweep_grid");
-  GridSweep out;
-  out.x_param = x_param;
-  out.y_param = y_param;
-  out.xs = xs;
-  out.ys = ys;
-  out.results.assign(xs.size(), std::vector<PlayResult>(ys.size()));
-  const std::size_t total = xs.size() * ys.size();
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, total, [&](std::size_t k) {
-    const std::size_t i = k / ys.size();
-    const std::size_t j = k % ys.size();
-    Design work = design;
-    work.globals().set(x_param, xs[i]);
-    work.globals().set(y_param, ys[j]);
-    out.results[i][j] = play_point(work, play);
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, total);
-  });
+  return out;
+}
+
+ColumnarSweep to_columns(const std::string& param,
+                         const std::vector<SweepPoint>& points) {
+  ColumnarSweep out{param, {}, {}};
+  out.values.reserve(points.size());
+  out.cols.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out.values.push_back(points[i].value);
+    out.cols.set(i, points[i].result);
+  }
   return out;
 }
 
 std::string grid_table(const GridSweep& grid) {
-  std::ostringstream os;
-  os << grid.x_param << " \\ " << grid.y_param;
-  for (double y : grid.ys) os << '\t' << y;
-  os << '\n';
-  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
-    os << grid.xs[i];
-    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      os << '\t'
-         << units::format_si(
-                grid.results[i][j].total.total_power().si(), "W");
-    }
-    os << '\n';
-  }
-  return os.str();
+  return grid_table(to_columns(grid));
 }
 
 std::string grid_csv(const GridSweep& grid) {
-  std::string out = grid.x_param + ',' + grid.y_param +
-                    ",total_power_w,energy_per_op_j\n";
-  const auto field = [&out](double v, char end) {
-    units::append_double(out, v, 9);
-    out += end;
-  };
-  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
-    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      const PlayResult& r = grid.results[i][j];
-      field(grid.xs[i], ',');
-      field(grid.ys[j], ',');
-      field(r.total.total_power().si(), ',');
-      field(r.total.energy_per_op.si(), '\n');
-    }
-  }
-  return out;
+  return grid_csv(to_columns(grid));
 }
 
 std::string sweep_csv(const std::string& param,
                       const std::vector<SweepPoint>& points) {
-  std::string out = param + ",total_power_w,energy_per_op_j\n";
-  const auto field = [&out](double v, char end) {
-    units::append_double(out, v, 9);
-    out += end;
-  };
-  for (const SweepPoint& p : points) {
-    field(p.value, ',');
-    field(p.result.total.total_power().si(), ',');
-    field(p.result.total.energy_per_op.si(), '\n');
-  }
-  return out;
+  return sweep_csv(to_columns(param, points));
 }
 
 std::vector<double> linspace(double from, double to, int points) {
@@ -273,13 +170,7 @@ std::vector<double> geomspace(double from, double to, int points) {
 
 std::string sweep_table(const std::string& param,
                         const std::vector<SweepPoint>& points) {
-  std::ostringstream os;
-  os << param << "\ttotal power\n";
-  for (const SweepPoint& p : points) {
-    os << p.value << '\t'
-       << units::format_si(p.result.total.total_power().si(), "W") << '\n';
-  }
-  return os.str();
+  return sweep_table(to_columns(param, points));
 }
 
 }  // namespace powerplay::sheet

@@ -6,17 +6,19 @@
 // results — the engine behind voltage/frequency trade-off curves and the
 // instant what-if loop of the Figure 4 form.
 //
-// Every entry point has two forms: the original serial loop, and an
-// engine-backed overload taking an engine::Executor that Plays the
-// points concurrently.  Each point clones the design, so points are
-// embarrassingly parallel and the two forms are bit-identical.
+// The entry points here are the serial interpreter reference: one
+// design clone per sweep, re-set and re-Played per point.  The CLI, the
+// figure benches and the tests use them directly; the web app's jobs
+// run the engine's lane-batched columnar sweeps (engine/engine.hpp),
+// which are bit-identical to these loops.  Both forms render through
+// the one set of columnar formatters in sheet/batch.hpp.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "engine/executor.hpp"
+#include "sheet/batch.hpp"
 #include "sheet/design.hpp"
 
 namespace powerplay::sheet {
@@ -26,17 +28,12 @@ struct SweepPoint {
   PlayResult result;
 };
 
-/// Optional per-point completion callback for the parallel overloads
-/// (drives the async job API's progress counter).  Called as
-/// progress(done_so_far, total); may run on any executor thread.
+/// Optional completion callback for the engine's sweeps (drives the
+/// async job API's progress counter).  Called as progress(done_so_far,
+/// total), once per lane block; may run on any executor thread.
 using SweepProgress = std::function<void(std::size_t, std::size_t)>;
 
-/// Pluggable evaluation hook: maps a configured design clone to its
-/// PlayResult.  Default ({}) plays directly; the evaluation engine
-/// substitutes a memoizing version (engine::EvalEngine).
-using PlayFn = std::function<PlayResult(const Design&)>;
-
-/// Validation shared with the plan-backed engine sweeps: a sweep over a
+/// Validation shared with the engine's columnar sweeps: a sweep over a
 /// name Scope::set would silently *create* returns N identical points
 /// (the classic typo trap), so require an existing global binding up
 /// front.  `caller` prefixes the error message ("sweep_global", ...).
@@ -64,14 +61,6 @@ std::vector<SweepPoint> sweep_global(const Design& design,
                                      const std::string& param,
                                      const std::vector<double>& values);
 
-/// Parallel variant: points Play concurrently on `executor`.
-std::vector<SweepPoint> sweep_global(engine::Executor& executor,
-                                     const Design& design,
-                                     const std::string& param,
-                                     const std::vector<double>& values,
-                                     const PlayFn& play = {},
-                                     const SweepProgress& progress = {});
-
 /// Same, over a row-local parameter (rows addressed by name).  The
 /// parameter must already be bound on the row, be one of the row
 /// model's declared parameters, or (for macro rows) a global of the
@@ -80,14 +69,6 @@ std::vector<SweepPoint> sweep_row_param(const Design& design,
                                         const std::string& row,
                                         const std::string& param,
                                         const std::vector<double>& values);
-
-std::vector<SweepPoint> sweep_row_param(engine::Executor& executor,
-                                        const Design& design,
-                                        const std::string& row,
-                                        const std::string& param,
-                                        const std::vector<double>& values,
-                                        const PlayFn& play = {},
-                                        const SweepProgress& progress = {});
 
 /// Two-parameter grid sweep (e.g. the classic voltage x frequency
 /// exploration plane).  result[i][j] is the Play at xs[i], ys[j].
@@ -103,13 +84,11 @@ GridSweep sweep_grid(const Design& design, const std::string& x_param,
                      const std::string& y_param,
                      const std::vector<double>& ys);
 
-GridSweep sweep_grid(engine::Executor& executor, const Design& design,
-                     const std::string& x_param,
-                     const std::vector<double>& xs,
-                     const std::string& y_param,
-                     const std::vector<double>& ys,
-                     const PlayFn& play = {},
-                     const SweepProgress& progress = {});
+/// The four metric columns of serial sweep results, in point order
+/// (grid point (i, j) at column i * ys.size() + j).
+ColumnarGrid to_columns(const GridSweep& grid);
+ColumnarSweep to_columns(const std::string& param,
+                         const std::vector<SweepPoint>& points);
 
 /// Render a grid as a total-power matrix table.
 std::string grid_table(const GridSweep& grid);

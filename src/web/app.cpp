@@ -1,6 +1,7 @@
 #include "web/app.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -182,14 +183,6 @@ void PowerPlayApp::shutdown() {
   store_.flush();
 }
 
-std::shared_ptr<std::mutex> PowerPlayApp::session_lock(
-    const std::string& user) {
-  std::lock_guard lock(sessions_mutex_);
-  auto& slot = session_locks_[user];
-  if (slot == nullptr) slot = std::make_shared<std::mutex>();
-  return slot;
-}
-
 Response PowerPlayApp::handle(const Request& request) {
   const Target target = request.parsed_target();
   const Params q = request.all_params();
@@ -254,14 +247,16 @@ Response PowerPlayApp::handle(const Request& request) {
     }
 
     // Shard 1: each user's own requests are serialized (profile and
-    // design edits are read-modify-write over their files), but two
-    // users never wait on each other here.
-    std::shared_ptr<std::mutex> session;
+    // design edits are read-modify-write over their files).  Users hash
+    // onto a fixed set of lock stripes, so two users rarely wait on each
+    // other here, and a request takes exactly one stripe, so striping
+    // cannot deadlock.
     std::unique_lock<std::mutex> session_guard;
     const std::string user = get_or(q, "user");
     if (!user.empty()) {
-      session = session_lock(user);
-      session_guard = std::unique_lock(*session);
+      session_guard = std::unique_lock(
+          session_locks_[std::hash<std::string>{}(user) %
+                         session_locks_.size()]);
     }
 
     // Shard 2: the shared library.  Only the handful of mutating routes
@@ -1067,18 +1062,24 @@ struct SweepAxis {
   std::vector<double> values;
 };
 
+/// An axis point count: an integer in [1, 256].  Checked on the double
+/// before any cast (the text may be "nan", "inf" or "1e300").
+int parse_axis_points(const std::string& text, const std::string& what) {
+  const double v = parse_double(text, what);
+  if (!(v >= 1 && v <= 256) || v != std::floor(v)) {
+    throw HttpError(what + " must be an integer in [1, 256]");
+  }
+  return static_cast<int>(v);
+}
+
 SweepAxis parse_axis(const Params& q, const std::string& prefix) {
   SweepAxis axis;
   axis.param = need(q, prefix + "_param");
   const double from =
       parse_double(need(q, prefix + "_from"), prefix + "_from");
   const double to = parse_double(need(q, prefix + "_to"), prefix + "_to");
-  const double points_value =
-      parse_double(get_or(q, prefix + "_points", "8"), prefix + "_points");
-  const int points = static_cast<int>(points_value);
-  if (points < 1 || points > 256 || points != points_value) {
-    throw HttpError(prefix + "_points must be an integer in [1, 256]");
-  }
+  const int points = parse_axis_points(get_or(q, prefix + "_points", "8"),
+                                       prefix + "_points");
   axis.values = sheet::linspace(from, to, points);
   return axis;
 }
@@ -1133,28 +1134,22 @@ Response PowerPlayApp::do_design_sweep(const Params& q) {
           result.csv.size() + result.json.size());
       return result;
     };
-  } else if (!row.empty()) {
-    const sheet::Row* r = snapshot.find_row(row);
-    if (r == nullptr) return Response::not_found("row '" + row + "'");
-    describe << "sweep " << name << ": " << row << "." << x.param << " ("
-             << x.values.size() << " points)";
+  } else {
+    if (row.empty()) {
+      sheet::require_globals(snapshot, {x.param}, "sweep");
+      describe << "sweep " << name << ": " << x.param;
+    } else {
+      if (snapshot.find_row(row) == nullptr) {
+        return Response::not_found("row '" + row + "'");
+      }
+      describe << "sweep " << name << ": " << row << "." << x.param;
+    }
+    describe << " (" << x.values.size() << " points)";
     work = [this, snapshot = std::move(snapshot), row,
             x](const engine::JobManager::Progress& progress) {
-      const auto points = engine_.sweep_row_param(snapshot, row, x.param,
-                                                  x.values, progress);
-      return engine::JobResult{sheet::sweep_table(x.param, points),
-                               sheet::sweep_csv(x.param, points)};
-    };
-  } else {
-    sheet::require_globals(snapshot, {x.param}, "sweep");
-    describe << "sweep " << name << ": " << x.param << " ("
-             << x.values.size() << " points)";
-    work = [this, snapshot = std::move(snapshot),
-            x](const engine::JobManager::Progress& progress) {
-      const auto points =
-          engine_.sweep_global(snapshot, x.param, x.values, progress);
-      return engine::JobResult{sheet::sweep_table(x.param, points),
-                               sheet::sweep_csv(x.param, points)};
+      const sheet::ColumnarSweep s = engine_.sweep_columnar(
+          snapshot, row, x.param, x.values, progress);
+      return engine::JobResult{sheet::sweep_table(s), sheet::sweep_csv(s)};
     };
   }
 
@@ -1199,13 +1194,8 @@ std::vector<explore::ParetoAxis> parse_explore_axes(const std::string& text) {
                                      axis.param + " from");
     const double to =
         parse_double(item.substr(c1 + 1, c2 - c1 - 1), axis.param + " to");
-    const double points_value =
-        parse_double(item.substr(c2 + 1), axis.param + " points");
-    const int points = static_cast<int>(points_value);
-    if (points < 1 || points > 256 || points != points_value) {
-      throw HttpError("axis '" + axis.param +
-                      "' points must be an integer in [1, 256]");
-    }
+    const int points = parse_axis_points(item.substr(c2 + 1),
+                                         "axis '" + axis.param + "' points");
     axis.values = sheet::linspace(from, to, points);
     out.push_back(std::move(axis));
   }

@@ -46,15 +46,16 @@
 //   GET /agent?user=U&request=power
 //
 // Concurrency: there is no global app mutex.  Each user's requests are
-// serialized by a per-user session lock; the shared library (store +
-// registry) sits behind a read/write lock taken shared by read-only
-// routes and exclusive by the few mutating ones, so concurrent users
-// no longer serialize behind each other (docs/engine.md).
+// serialized by a session lock (one of a fixed set of stripes, picked by
+// hash of the user name); the shared library (store + registry) sits
+// behind a read/write lock taken shared by read-only routes and
+// exclusive by the few mutating ones, so concurrent users rarely
+// serialize behind each other (docs/engine.md).
 #pragma once
 
 #include <atomic>
 #include <functional>
-#include <map>
+#include <array>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -222,15 +223,13 @@ class PowerPlayApp {
   /// called for cacheable routes (see cacheable_route in app.cpp).
   Response serve_cached(const Request& request, const Params& q);
 
-  /// The named user's session mutex (created on first sight).
-  std::shared_ptr<std::mutex> session_lock(const std::string& user);
-
   /// Store + registry lock: shared for reads, exclusive for the few
   /// mutating routes (/design/add, /design/play, /design/setrow,
   /// POST /newmodel).
   mutable std::shared_mutex library_mutex_;
-  std::mutex sessions_mutex_;
-  std::map<std::string, std::shared_ptr<std::mutex>> session_locks_;
+  /// Per-user session locks, striped by hash of the user name: bounded
+  /// by construction, however many distinct users a site sees.
+  std::array<std::mutex, 256> session_locks_;
   mutable std::mutex stats_mutex_;
   StatsSource stats_source_;
   /// Role is read on every request; the strings/hooks behind it are

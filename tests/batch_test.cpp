@@ -1,8 +1,10 @@
 // Differential tests of the lane-batched columnar evaluation paths
-// (sheet/batch.hpp, the engine's sweep_grid_columnar and
-// play_points_columnar) against the scalar compiled-plan paths: grids
-// and point sets must come back bit-identical, lane-divergent
-// conditionals must replay without changing a bit, intermodel plans
+// (sheet/batch.hpp, the engine's sweep_columnar, sweep_grid_columnar
+// and play_points_columnar) against the serial references — the
+// interpreter sweeps and a fresh PlanInstance per point
+// (tests/reference.hpp): sweeps, grids and point sets must come back
+// bit-identical, lane-divergent conditionals must replay without
+// changing a bit, intermodel plans
 // must run the fixed point inside the lane block (lanes converging at
 // different iterations, non-convergence degrading to the scalar error,
 // nested intermodel macros), degenerate batches must skip the lane
@@ -21,6 +23,7 @@
 #include "engine/engine.hpp"
 #include "explore/dist.hpp"
 #include "models/berkeley_library.hpp"
+#include "reference.hpp"
 #include "sheet/sweep.hpp"
 #include "studies/infopad.hpp"
 #include "studies/vq.hpp"
@@ -102,7 +105,7 @@ TEST(BatchGrid, ColumnarGridBitIdenticalToScalarSweep) {
   const auto rates = sheet::linspace(1e6, 4e6, 16);
 
   const sheet::GridSweep scalar =
-      engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
+      sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
   const sheet::ColumnarGrid batched =
       engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
 
@@ -118,8 +121,8 @@ TEST(BatchGrid, ColumnarGridBitIdenticalToScalarSweep) {
     }
   }
 
-  // Given bit-identical values the columnar renderers emit the same
-  // bytes as the PlayResult-based ones.
+  // Given bit-identical values the engine's columns and the serial
+  // results render to the same bytes.
   EXPECT_EQ(sheet::grid_table(batched), sheet::grid_table(scalar));
   EXPECT_EQ(sheet::grid_csv(batched), sheet::grid_csv(scalar));
   EXPECT_FALSE(sheet::grid_json(batched).empty());
@@ -146,6 +149,37 @@ TEST(BatchGrid, ValidationMatchesScalarSweep) {
       expr::ExprError);
 }
 
+// --- one-axis sweeps ----------------------------------------------------------
+
+TEST(BatchSweep, OneAxisSweepsBitIdenticalToSerialAtOneAndEightThreads) {
+  // A global, and a model-default row parameter the row does not bind
+  // (materialized on one clone per sweep); 130 points = two full lane
+  // blocks and a single-point block.
+  EngineOptions one;
+  one.executor.thread_count = 1;
+  EngineOptions eight;
+  eight.executor.thread_count = 8;
+  EvalEngine e1(one);
+  EvalEngine e8(eight);
+  const sheet::Design d = branchy_design();
+  ASSERT_FALSE(d.find_row("add")->params.has_local("alpha"));
+  const auto vdds = sheet::linspace(1.0, 2.0, 130);
+  const auto alphas = sheet::linspace(0.05, 1.0, 130);
+  const sheet::ColumnarSweep global =
+      sheet::to_columns("vdd", sheet::sweep_global(d, "vdd", vdds));
+  const sheet::ColumnarSweep row = sheet::to_columns(
+      "alpha", sheet::sweep_row_param(d, "add", "alpha", alphas));
+  for (EvalEngine* engine : {&e1, &e8}) {
+    reference::expect_same_columns(
+        engine->sweep_columnar(d, "", "vdd", vdds).cols, global.cols);
+    reference::expect_same_columns(
+        engine->sweep_columnar(d, "add", "alpha", alphas).cols, row.cols);
+  }
+  EXPECT_EQ(sheet::sweep_csv(e8.sweep_columnar(d, "add", "alpha", alphas)),
+            sheet::sweep_csv("alpha",
+                             sheet::sweep_row_param(d, "add", "alpha", alphas)));
+}
+
 // --- point batches -----------------------------------------------------------
 
 TEST(BatchPoints, ColumnarMatchesPlayPointsOnBranchyFormulas) {
@@ -157,7 +191,7 @@ TEST(BatchPoints, ColumnarMatchesPlayPointsOnBranchyFormulas) {
       points.push_back({vdd, f});
     }
   }
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
+  const auto plays = reference::play_points(d, {"vdd", "f"}, points);
   const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
   expect_columns_match_plays(cols, plays);
 }
@@ -170,7 +204,7 @@ TEST(BatchPoints, DifferentialFuzzTenThousandRandomPoints) {
   const auto dists =
       explore::parse_dist_params("vdd=uniform(1.0,2.0);f=uniform(5e5,4e6)");
   const auto points = explore::sample_points(dists, 10240, 99);
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
+  const auto plays = reference::play_points(d, {"vdd", "f"}, points);
   const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
   expect_columns_match_plays(cols, plays);
 }
@@ -185,7 +219,7 @@ TEST(BatchPoints, LaneDivergentConditionalReplaysWithoutDrift) {
   for (std::size_t i = 0; i < 64; ++i) {
     points.push_back({i % 2 == 0 ? 1.2 : 1.8, 1e6});
   }
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
+  const auto plays = reference::play_points(d, {"vdd", "f"}, points);
   const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
@@ -204,7 +238,7 @@ TEST(BatchPoints, IntermodelPlansBatchTheFixedPoint) {
     points.push_back({5.0 + 0.02 * static_cast<double>(i),
                       0.5 + 0.01 * static_cast<double>(i)});
   }
-  const auto plays = engine.play_points(d, {"vdd", "p_base"}, points);
+  const auto plays = reference::play_points(d, {"vdd", "p_base"}, points);
   const auto cols = engine.play_points_columnar(d, {"vdd", "p_base"}, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
@@ -227,7 +261,7 @@ TEST(BatchFixedPoint, InfoPadTenThousandPointsBitIdenticalToScalar) {
   const auto points =
       explore::sample_points(explore::parse_dist_params(kInfoPadDists), 10240,
                              7);
-  const auto plays = engine.play_points(d, params, points);
+  const auto plays = reference::play_points(d, params, points);
   const auto cols = engine.play_points_columnar(d, params, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
@@ -281,7 +315,7 @@ TEST(BatchFixedPoint, LanesConvergingAtDifferentIterations) {
   EXPECT_GT(iterations[0], iterations[1]);
   EXPECT_GT(iterations[1], iterations[2]);
 
-  const auto plays = engine.play_points(d, {"eff", "p_base"}, points);
+  const auto plays = reference::play_points(d, {"eff", "p_base"}, points);
   const auto cols = engine.play_points_columnar(d, {"eff", "p_base"}, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
@@ -303,7 +337,7 @@ TEST(BatchFixedPoint, ConditionalIntermodelCallReplaysPerLane) {
     points.push_back({static_cast<double>(i % 3) * 0.4,
                       0.7 + 0.002 * static_cast<double>(i)});
   }
-  const auto plays = engine.play_points(d, {"sel", "eff"}, points);
+  const auto plays = reference::play_points(d, {"sel", "eff"}, points);
   const auto cols = engine.play_points_columnar(d, {"sel", "eff"}, points);
   expect_columns_match_plays(cols, plays);
   const BatchCounters c = engine.batch_counters();
@@ -325,7 +359,7 @@ TEST(BatchFixedPoint, NonConvergingLaneDegradesToTheScalarError) {
   }
   std::string scalar_error;
   try {
-    (void)engine.play_points(d, {"eff"}, points);
+    (void)reference::play_points(d, {"eff"}, points);
   } catch (const expr::ExprError& e) {
     scalar_error = e.what();
   }
@@ -341,7 +375,7 @@ TEST(BatchFixedPoint, NonConvergingLaneDegradesToTheScalarError) {
 
   // The block before the failing one still batched cleanly.
   points.resize(64);
-  const auto plays = engine.play_points(d, {"eff"}, points);
+  const auto plays = reference::play_points(d, {"eff"}, points);
   const auto cols = engine.play_points_columnar(d, {"eff"}, points);
   expect_columns_match_plays(cols, plays);
 }
@@ -378,7 +412,7 @@ TEST(BatchFixedPoint, NestedIntermodelMacroInsideIntermodelParent) {
   }
   EXPECT_EQ(sheet::EvalPlan::compile(d)->row_rank("Island"),
             sheet::EvalPlan::kIterativeRank);
-  const auto plays = engine.play_points(d, {"eff_root", "p_root"}, points);
+  const auto plays = reference::play_points(d, {"eff_root", "p_root"}, points);
   const auto cols =
       engine.play_points_columnar(d, {"eff_root", "p_root"}, points);
   expect_columns_match_plays(cols, plays);
@@ -404,7 +438,7 @@ TEST(BatchPoints, ErrorsMatchTheScalarPath) {
   }
   std::string scalar_error;
   try {
-    (void)engine.play_points(d, {"denom"}, points);
+    (void)reference::play_points(d, {"denom"}, points);
   } catch (const expr::ExprError& e) {
     scalar_error = e.what();
   }
@@ -428,7 +462,7 @@ TEST(BatchPoints, EmptyAndSinglePointBatchesTakeTheScalarPath) {
   EXPECT_EQ(empty.size(), 0u);
 
   const std::vector<std::vector<double>> one{{1.4, 2e6}};
-  const auto plays = engine.play_points(d, {"vdd", "f"}, one);
+  const auto plays = reference::play_points(d, {"vdd", "f"}, one);
   const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, one);
   expect_columns_match_plays(cols, plays);
 
@@ -437,7 +471,7 @@ TEST(BatchPoints, EmptyAndSinglePointBatchesTakeTheScalarPath) {
       engine.sweep_grid_columnar(d, "vdd", {1.5}, "f", {1e6});
   ASSERT_EQ(grid.cols.size(), 1u);
   const sheet::GridSweep scalar =
-      engine.sweep_grid(d, "vdd", {1.5}, "f", {1e6});
+      sheet::sweep_grid(d, "vdd", {1.5}, "f", {1e6});
   EXPECT_EQ(grid.cols.power_w[0],
             scalar.results[0][0].total.total_power().si());
 

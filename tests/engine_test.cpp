@@ -1,6 +1,6 @@
 // Unit tests of the parallel evaluation engine: executor, fingerprint,
-// Play cache, engine-backed sweeps (bit-identical to serial), and the
-// async job manager.
+// Play cache, columnar sweeps (bit-identical to serial), and the async
+// job manager.
 #include "engine/engine.hpp"
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "engine/job.hpp"
 #include "models/berkeley_library.hpp"
+#include "reference.hpp"
 #include "studies/vq.hpp"
 
 namespace powerplay::engine {
@@ -164,74 +165,54 @@ TEST(EvalEngine, RepeatedPlayOfUnchangedDesignIsACacheHit) {
   EXPECT_EQ(engine.cache().stats().misses, 2u);
 }
 
-// --- Engine-backed sweeps ---------------------------------------------------
+// --- Columnar sweeps -------------------------------------------------------
 
 TEST(EngineSweep, GlobalSweepBitIdenticalToSerial) {
   EvalEngine engine({{4, 64}, 1024});
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const std::vector<double> vdds = sheet::linspace(1.0, 3.0, 9);
-  const auto serial = sheet::sweep_global(d, "vdd", vdds);
-  const auto parallel = engine.sweep_global(d, "vdd", vdds);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].value, parallel[i].value);
-    EXPECT_EQ(serial[i].result.total.total_power().si(),
-              parallel[i].result.total.total_power().si());
-    EXPECT_EQ(serial[i].result.total.energy_per_op.si(),
-              parallel[i].result.total.energy_per_op.si());
-  }
+  const sheet::ColumnarSweep serial =
+      sheet::to_columns("vdd", sheet::sweep_global(d, "vdd", vdds));
+  const sheet::ColumnarSweep parallel = engine.sweep_columnar(d, "", "vdd", vdds);
+  EXPECT_EQ(parallel.values, serial.values);
+  reference::expect_same_columns(parallel.cols, serial.cols);
 }
 
-TEST(EngineSweep, GridSweepBitIdenticalToSerialAndCached) {
+TEST(EngineSweep, GridSweepBitIdenticalToSerial) {
   EvalEngine engine({{4, 64}, 1024});
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const auto vdds = sheet::linspace(1.0, 3.0, 8);
   const auto rates = sheet::linspace(1e6, 4e6, 8);
-  const auto serial = sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto parallel =
-      engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    ASSERT_EQ(serial.results[i].size(), parallel.results[i].size());
-    for (std::size_t j = 0; j < serial.results[i].size(); ++j) {
-      EXPECT_EQ(serial.results[i][j].total.total_power().si(),
-                parallel.results[i][j].total.total_power().si())
-          << "(" << i << "," << j << ")";
-    }
-  }
-  // Re-sweeping the identical grid hits the cache for every point.
-  const CacheStats before = engine.cache().stats();
-  (void)engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const CacheStats after = engine.cache().stats();
-  EXPECT_EQ(after.hits, before.hits + 64);
-  EXPECT_EQ(after.misses, before.misses);
+  const sheet::ColumnarGrid serial = sheet::to_columns(
+      sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates));
+  const sheet::ColumnarGrid parallel =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  reference::expect_same_columns(parallel.cols, serial.cols);
 }
 
 TEST(EngineSweep, RowParamSweepMatchesSerial) {
   EvalEngine engine;
   const sheet::Design d = adder_design();
   const std::vector<double> widths = {8, 16, 24, 32};
-  const auto serial = sheet::sweep_row_param(d, "A", "bitwidth", widths);
-  const auto parallel = engine.sweep_row_param(d, "A", "bitwidth", widths);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.total.total_power().si(),
-              parallel[i].result.total.total_power().si());
-  }
+  const sheet::ColumnarSweep serial = sheet::to_columns(
+      "bitwidth", sheet::sweep_row_param(d, "A", "bitwidth", widths));
+  const sheet::ColumnarSweep parallel =
+      engine.sweep_columnar(d, "A", "bitwidth", widths);
+  reference::expect_same_columns(parallel.cols, serial.cols);
 }
 
-TEST(EngineSweep, ProgressReportsEveryPoint) {
+TEST(EngineSweep, ProgressReportsOncePerLaneBlock) {
   EvalEngine engine;
   const sheet::Design d = adder_design();
   std::atomic<std::size_t> calls{0};
   std::atomic<std::size_t> final_done{0};
-  (void)engine.sweep_global(d, "vdd", sheet::linspace(1, 2, 5),
-                            [&](std::size_t done, std::size_t total) {
-                              ++calls;
-                              if (done == total) final_done = done;
-                            });
-  EXPECT_EQ(calls.load(), 5u);
-  EXPECT_EQ(final_done.load(), 5u);
+  (void)engine.sweep_columnar(d, "", "vdd", sheet::linspace(1, 2, 130),
+                              [&](std::size_t done, std::size_t total) {
+                                ++calls;
+                                if (done == total) final_done = done;
+                              });
+  EXPECT_EQ(calls.load(), 3u);
+  EXPECT_EQ(final_done.load(), 130u);
 }
 
 // --- Sweep validation (the silent-create bugfix) ----------------------------
@@ -242,7 +223,7 @@ TEST(SweepValidation, UnknownGlobalThrowsInsteadOfCreating) {
   EXPECT_THROW(sheet::sweep_grid(d, "vdd", {1}, "freq_typo", {1e6}),
                expr::ExprError);
   EvalEngine engine;
-  EXPECT_THROW((void)engine.sweep_global(d, "vdd_typo", {1, 2}),
+  EXPECT_THROW((void)engine.sweep_columnar(d, "", "vdd_typo", {1, 2}),
                expr::ExprError);
 }
 
@@ -473,15 +454,19 @@ TEST(JobManager, DrainCancelsEverythingAndRejectsNewWork) {
 TEST(JobManager, CancelledSweepFreesItsRunner) {
   // End-to-end through the engine: the Progress wrapper's exception has
   // to propagate out of parallel_for / TaskGroup and stop the sweep
-  // within one point's granularity.
+  // within one lane block's granularity.
   EvalEngine engine({{2, 64}, 1024});
   JobManager jobs(1, 16);
   const sheet::Design d = adder_design();
   std::atomic<bool> started{false};
   const std::uint64_t id = jobs.submit(
       "dl", "sweep", [&](const JobManager::Progress& progress) {
-        const auto points = engine.sweep_global(
-            d, "vdd", sheet::linspace(1.0, 3.0, 400),
+        // 400 lane blocks, one progress call (and sleep) each.
+        const auto points = engine.sweep_columnar(
+            d, "", "vdd",
+            sheet::linspace(1.0, 3.0,
+                            static_cast<int>(
+                                400 * sheet::BatchPlanInstance::kLaneWidth)),
             [&](std::size_t done, std::size_t total) {
               started = true;
               progress(done, total);

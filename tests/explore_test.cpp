@@ -19,6 +19,7 @@
 #include "explore/surrogate.hpp"
 #include "model/user_model.hpp"
 #include "models/berkeley_library.hpp"
+#include "reference.hpp"
 #include "studies/vq.hpp"
 #include "web/app.hpp"
 #include "web/client.hpp"
@@ -277,7 +278,7 @@ TEST(Inverse, FindsLargestRateUnderPowerBudget) {
   // Measure power at 2 MHz, then ask for the largest rate within that
   // budget over [1, 4] MHz: the answer must come back ~2 MHz.
   const auto probe =
-      eng().play_points(design, {"pixel_rate"}, {{2e6}});
+      reference::play_points(design, {"pixel_rate"}, {{2e6}});
   const double budget = probe.front().total.total_power().si();
 
   InverseSpec spec;
@@ -372,7 +373,7 @@ TEST(Surrogate, DifferentialAgainstExactPlan) {
   const model::UserModel as_model(fit.definition);
   const auto points = sample_points(spec.params, spec.samples, spec.seed);
   const auto plays =
-      eng().play_points(design, {"vdd", "pixel_rate"}, points);
+      reference::play_points(design, {"vdd", "pixel_rate"}, points);
   std::size_t holdout_seen = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i % 4 != 3) continue;  // the deterministic holdout split
@@ -564,6 +565,25 @@ TEST_F(ExploreWebFixture, ValidationNamesEveryUnknownParam) {
                                      {"params", "vdd=uniform(1,2)"}})
                 .status,
             404);
+}
+
+TEST_F(ExploreWebFixture, AxisPointsMustBeAnIntegerInRange) {
+  const auto submit = [this](const std::string& points) {
+    return post("/design/explore",
+                {{"user", "dl"},
+                 {"name", "D"},
+                 {"mode", "pareto"},
+                 {"axes", "vdd=1.2:1.8:" + points + ";f=1e6:2e6:2"},
+                 {"objectives", "power,max:f"}})
+        .status;
+  };
+  EXPECT_EQ(submit("3"), 200);
+  // Out of range, fractional, and the non-finite or huge values stod
+  // accepts: each must answer 400 before any cast to int.
+  for (const char* bad : {"0", "257", "2.5", "nan", "inf", "-inf", "1e300"}) {
+    EXPECT_EQ(submit(bad), 400) << bad;
+  }
+  app->jobs().wait_idle();
 }
 
 TEST_F(ExploreWebFixture, ParetoAndInverseJobs) {

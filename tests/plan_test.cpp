@@ -1,6 +1,6 @@
 // Differential tests of compiled evaluation plans against the
-// interpreter, the engine's plan-backed Play and clone-free sweeps
-// against the serial clone-per-point loops, plan-cache keying, and
+// interpreter, the engine's plan-backed Play and columnar sweeps
+// against the serial clone-per-sweep loops, plan-cache keying, and
 // concurrent PlanInstances sharing one plan (the web_tsan target runs
 // this file under ThreadSanitizer).
 #include "sheet/plan.hpp"
@@ -12,6 +12,7 @@
 
 #include "engine/engine.hpp"
 #include "models/berkeley_library.hpp"
+#include "reference.hpp"
 #include "sheet/sweep.hpp"
 #include "studies/infopad.hpp"
 #include "studies/vq.hpp"
@@ -184,14 +185,12 @@ TEST(PlanEngine, SweepGlobalMatchesSerial) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
   const auto values = linspace(1.0, 3.0, 7);
-  const auto serial = sweep_global(d, "vdd", values);
-  const auto compiled = engine.sweep_global(d, "vdd", values);
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].value, compiled[i].value);
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
-  EXPECT_THROW((void)engine.sweep_global(d, "no_such", values),
+  const ColumnarSweep serial = to_columns("vdd", sweep_global(d, "vdd", values));
+  const ColumnarSweep compiled = engine.sweep_columnar(d, "", "vdd", values);
+  EXPECT_EQ(compiled.param, "vdd");
+  EXPECT_EQ(compiled.values, serial.values);
+  reference::expect_same_columns(compiled.cols, serial.cols);
+  EXPECT_THROW((void)engine.sweep_columnar(d, "", "no_such", values),
                expr::ExprError);
 }
 
@@ -207,12 +206,10 @@ TEST(PlanEngine, SweepRowParamMatchesSerial) {
   const std::vector<double> widths = {8, 16, 24, 32};
 
   // Locally bound parameter: pure slot re-binding.
-  auto serial = sweep_row_param(d, "A", "bitwidth", widths);
-  auto compiled = engine.sweep_row_param(d, "A", "bitwidth", widths);
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
+  ColumnarSweep serial =
+      to_columns("bitwidth", sweep_row_param(d, "A", "bitwidth", widths));
+  ColumnarSweep compiled = engine.sweep_columnar(d, "A", "bitwidth", widths);
+  reference::expect_same_columns(compiled.cols, serial.cols);
 
   // Model-declared parameter the row does not bind: the engine clones
   // once per sweep to materialize the binding, results still match.
@@ -220,60 +217,46 @@ TEST(PlanEngine, SweepRowParamMatchesSerial) {
   def.globals().set("vdd", 1.5);
   def.globals().set("f", 1e6);
   def.add_row("r", lib().find_shared("register"));
-  serial = sweep_row_param(def, "r", "bits", {4, 8, 12});
-  compiled = engine.sweep_row_param(def, "r", "bits", {4, 8, 12});
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
+  serial = to_columns("bits", sweep_row_param(def, "r", "bits", {4, 8, 12}));
+  compiled = engine.sweep_columnar(def, "r", "bits", {4, 8, 12});
+  reference::expect_same_columns(compiled.cols, serial.cols);
 
-  EXPECT_THROW((void)engine.sweep_row_param(d, "missing", "x", {1}),
+  EXPECT_THROW((void)engine.sweep_columnar(d, "missing", "x", {1}),
                expr::ExprError);
-  EXPECT_THROW((void)engine.sweep_row_param(d, "A", "no_such", {1}),
+  EXPECT_THROW((void)engine.sweep_columnar(d, "A", "no_such", {1}),
                expr::ExprError);
 }
 
-TEST(PlanEngine, SweepGridMatchesSerialAndMemoizesRepeats) {
+TEST(PlanEngine, SweepGridMatchesSerial) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
   const auto vdds = linspace(1.0, 3.0, 4);
   const auto rates = linspace(1e6, 4e6, 4);
-  const auto serial = sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto compiled = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(serial.results.size(), compiled.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    ASSERT_EQ(serial.results[i].size(), compiled.results[i].size());
-    for (std::size_t j = 0; j < serial.results[i].size(); ++j) {
-      expect_same_result(serial.results[i][j], compiled.results[i][j]);
-    }
-  }
+  const ColumnarGrid serial =
+      to_columns(sweep_grid(d, "vdd", vdds, "pixel_rate", rates));
+  const ColumnarGrid compiled =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  reference::expect_same_columns(compiled.cols, serial.cols);
 
-  // Per-point keys are deterministic: re-running the identical sweep
-  // is pure cache hits, no fresh Plays.
-  const auto before = engine.cache().stats();
-  const auto again = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto after = engine.cache().stats();
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.hits, before.hits + vdds.size() * rates.size());
-  for (std::size_t i = 0; i < compiled.results.size(); ++i) {
-    for (std::size_t j = 0; j < compiled.results[i].size(); ++j) {
-      expect_same_result(compiled.results[i][j], again.results[i][j]);
-    }
-  }
+  // Re-running the identical sweep gives the identical columns.
+  const ColumnarGrid again =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  reference::expect_same_columns(again.cols, compiled.cols);
 }
 
-TEST(PlanEngine, SweepProgressReportsEveryPoint) {
+TEST(PlanEngine, SweepProgressReportsOncePerLaneBlock) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
   std::atomic<std::size_t> calls{0};
   std::atomic<std::size_t> final_done{0};
-  const auto values = linspace(1.0, 2.0, 5);
-  (void)engine.sweep_global(d, "vdd", values,
-                            [&](std::size_t done, std::size_t total) {
-                              calls.fetch_add(1);
-                              if (done == total) final_done.fetch_add(1);
-                            });
-  EXPECT_EQ(calls.load(), values.size());
+  // Three lane blocks, the last one partial.
+  const auto values = linspace(1.0, 2.0, 150);
+  (void)engine.sweep_columnar(d, "", "vdd", values,
+                              [&](std::size_t done, std::size_t total) {
+                                calls.fetch_add(1);
+                                if (done == total) final_done.fetch_add(1);
+                              });
+  EXPECT_EQ(calls.load(), 3u);
   EXPECT_EQ(final_done.load(), 1u);
 }
 
@@ -307,13 +290,16 @@ TEST(PlanConcurrency, InstancesShareOnePlanAcrossThreads) {
 TEST(PlanConcurrency, EngineSweepsRunConcurrentlyOverSharedPlan) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
-  const auto vdds = linspace(1.0, 3.0, 8);
-  const auto rates = linspace(1e6, 4e6, 8);
-  const auto grid = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(grid.results.size(), 8u);
-  // Spot-check separability of the CMOS power law on the compiled path.
-  const double base = grid.results[0][0].total.total_power().si();
-  EXPECT_GT(base, 0.0);
+  // Four lane blocks, so several workers play over the one plan.
+  const auto vdds = linspace(1.0, 3.0, 16);
+  const auto rates = linspace(1e6, 4e6, 16);
+  const auto grid =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  ASSERT_EQ(grid.cols.size(), 256u);
+  EXPECT_GT(grid.cols.power_w[0], 0.0);
+  reference::expect_same_columns(
+      grid.cols,
+      to_columns(sweep_grid(d, "vdd", vdds, "pixel_rate", rates)).cols);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sheet/sweep.hpp"
 #include "web/client.hpp"
 #include "web/server.hpp"
 
@@ -229,9 +230,83 @@ TEST_F(ConcurrencyFixture, SweepJobValidation) {
                                    {"row", "R"}})
                 .status,
             400);
+  // Point counts must be integers in [1, 256]; stod accepts "nan",
+  // "inf" and "1e300", which must answer 400 before any cast to int.
+  for (const char* points : {"0", "257", "2.5", "nan", "inf", "1e300"}) {
+    EXPECT_EQ(post("/design/sweep", {{"user", "dl"},
+                                     {"name", "V"},
+                                     {"x_param", "vdd"},
+                                     {"x_from", "1"},
+                                     {"x_to", "2"},
+                                     {"x_points", points}})
+                  .status,
+              400)
+        << points;
+  }
   // Bad and missing job ids.
   EXPECT_EQ(get("/job?id=notanumber").status, 400);
   EXPECT_EQ(get("/job?id=999999").status, 404);
+}
+
+// The three kinds of 1-D sweep job — a global, a row parameter the row
+// binds, and a model-default row parameter the row does not bind — run
+// on the columnar engine.  Each job's CSV must be byte-for-byte the
+// serial interpreter sweep rendered by sheet::sweep_csv.
+TEST_F(ConcurrencyFixture, OneDimensionalSweepJobCsvMatchesSerialSweep) {
+  ASSERT_EQ(post("/design/add", {{"user", "dl"},
+                                 {"model", "register"},
+                                 {"design", "Line"},
+                                 {"row", "Reg"},
+                                 {"p_bits", "16"},
+                                 {"p_f", "2000000"}})
+                .status,
+            200);
+  const auto design = app->store().load_design("Line", app->registry());
+  ASSERT_TRUE(design->find_row("Reg")->params.has_local("bits"));
+  ASSERT_FALSE(design->find_row("Reg")->params.has_local("alpha"));
+
+  const auto csv_of = [this](Params form) {
+    form.emplace("user", "dl");
+    form.emplace("name", "Line");
+    const Response submit = post("/design/sweep", form);
+    EXPECT_EQ(submit.status, 200) << submit.body;
+    const std::string id = submit.body.substr(4, submit.body.find('\n') - 4);
+    for (int i = 0; i < 500; ++i) {
+      if (get("/job?id=" + id).body.find("status: done") !=
+          std::string::npos) {
+        return get("/job?id=" + id + "&format=csv").body;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "job " << id << " never finished";
+    return std::string();
+  };
+
+  // 65 points: one full lane block plus a single-point block.
+  EXPECT_EQ(csv_of({{"x_param", "vdd"},
+                    {"x_from", "1.0"},
+                    {"x_to", "3.0"},
+                    {"x_points", "65"}}),
+            sheet::sweep_csv("vdd",
+                             sheet::sweep_global(
+                                 *design, "vdd",
+                                 sheet::linspace(1.0, 3.0, 65))));
+  EXPECT_EQ(csv_of({{"row", "Reg"},
+                    {"x_param", "bits"},
+                    {"x_from", "4"},
+                    {"x_to", "64"},
+                    {"x_points", "16"}}),
+            sheet::sweep_csv("bits", sheet::sweep_row_param(
+                                         *design, "Reg", "bits",
+                                         sheet::linspace(4, 64, 16))));
+  EXPECT_EQ(csv_of({{"row", "Reg"},
+                    {"x_param", "alpha"},
+                    {"x_from", "0.05"},
+                    {"x_to", "1"},
+                    {"x_points", "100"}}),
+            sheet::sweep_csv("alpha", sheet::sweep_row_param(
+                                          *design, "Reg", "alpha",
+                                          sheet::linspace(0.05, 1, 100))));
 }
 
 // Several users submit sweep jobs at once while others keep reading;
