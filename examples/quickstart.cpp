@@ -52,9 +52,10 @@ int main() {
 
   // 5. What-if: how does total power respond to voltage scaling?
   std::printf("Supply what-if:\n%s",
-              sheet::sweep_table(
-                  "vdd", sheet::sweep_global(mac, "vdd",
-                                             {1.1, 1.5, 2.0, 2.5, 3.3}))
+              sheet::sweep_table(sheet::to_columns(
+                                     "vdd", sheet::sweep_global(
+                                                mac, "vdd",
+                                                {1.1, 1.5, 2.0, 2.5, 3.3})))
                   .c_str());
   return 0;
 }

@@ -131,17 +131,16 @@ class Session {
         }
         row->enabled = (cmd == "enable");
       } else if (cmd == "play") {
-        out_ << sheet::to_table(current().play());
+        out_ << sheet::to_table(engine_.play_compiled(current()));
       } else if (cmd == "csv") {
-        out_ << sheet::to_csv(current().play());
+        out_ << sheet::to_csv(engine_.play_compiled(current()));
       } else if (cmd == "sweep") {
         const std::string name = take(is, "global name");
         const double from = number(is, "from");
         const double to = number(is, "to");
-        const int points = static_cast<int>(number(is, "points"));
-        out_ << sheet::sweep_table(
-            name, sheet::sweep_global(current(), name,
-                                      sheet::linspace(from, to, points)));
+        const int points = sheet::axis_points(number(is, "points"), "points");
+        out_ << sheet::sweep_table(engine_.sweep_columnar(
+            current(), "", name, sheet::linspace(from, to, points)));
       } else if (cmd == "explore") {
         cmd_explore(is);
       } else if (cmd == "fed") {
@@ -354,8 +353,8 @@ class Session {
   std::ostream& out_;
   library::LibraryStore store_;
   model::ModelRegistry registry_;
-  /// Compiled-plan engine backing the explore commands (plan cache +
-  /// Play memoization shared across a session's explorations).
+  /// Compiled-plan engine behind play, csv, sweep and explore: one plan
+  /// cache shared across the session.
   engine::EvalEngine engine_;
   std::optional<sheet::Design> design_;
   std::unique_ptr<web::FederatedLibrary> fed_;

@@ -36,13 +36,18 @@ std::shared_ptr<const sheet::EvalPlan> EvalEngine::plan_for(
   return fresh;
 }
 
+sheet::PlayResult EvalEngine::play_compiled(const sheet::Design& design) {
+  sheet::PlanInstance inst(plan_for(design));
+  inst.bind_from(design);
+  return inst.play();
+}
+
 std::shared_ptr<const sheet::PlayResult> EvalEngine::play(
     const sheet::Design& design) {
   const std::uint64_t key = fingerprint(design);
   if (auto cached = cache_.find(key)) return cached;
-  sheet::PlanInstance inst(plan_for(design));
-  inst.bind_from(design);
-  auto fresh = std::make_shared<const sheet::PlayResult>(inst.play());
+  auto fresh =
+      std::make_shared<const sheet::PlayResult>(play_compiled(design));
   cache_.insert(key, fresh);
   return fresh;
 }

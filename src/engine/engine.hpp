@@ -1,12 +1,15 @@
 // engine.hpp — the parallel evaluation engine.
 //
 // One EvalEngine per process (the web app owns one): a thread-pool
-// executor that evaluates independent sweep points concurrently, a
-// memoized Play cache so an unchanged design — a reloaded page, a
-// second user opening a shared design — costs a hash instead of a
-// fixed-point evaluation, and a plan cache of compiled EvalPlans
-// (sheet/plan.hpp) keyed by structural fingerprint so the compile cost
-// is paid once per design *shape*, not per edit.
+// executor that evaluates independent sweep points concurrently, a plan
+// cache of compiled EvalPlans (sheet/plan.hpp) keyed by structural
+// fingerprint so the compile cost is paid once per design *shape*, not
+// per edit or per renamed copy, and a memoized Play cache.
+//
+// Interactive Play (every design page, CSV export and CLI play) runs
+// play_compiled: a fresh PlanInstance over the cached plan, bound to
+// the design.  It does not use the memo: a retained result weighs
+// kilobytes per design state, far more than a plan per design shape.
 //
 // Every sweep and point set runs on one substrate: the lane-batched
 // columnar path (sheet/batch.hpp).  Points partition into 64-lane
@@ -71,8 +74,15 @@ class EvalEngine {
   [[nodiscard]] std::shared_ptr<const sheet::EvalPlan> plan_for(
       const sheet::Design& design);
 
-  /// Memoized Play: fingerprint, probe the cache, run the compiled
-  /// plan on miss.  The returned result is shared and immutable.
+  /// Press Play on the compiled plan: a fresh PlanInstance over
+  /// plan_for(design), bound with bind_from.  Bit-identical to
+  /// design.play(), errors included; retains nothing but the plan.
+  [[nodiscard]] sheet::PlayResult play_compiled(const sheet::Design& design);
+
+  /// Memoized Play: fingerprint, probe the cache, play_compiled on a
+  /// miss.  The returned result is shared and immutable.  No production
+  /// route uses it (see the header comment); perfbench's engine.play_us
+  /// layer measures it.
   [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play(
       const sheet::Design& design);
 

@@ -97,9 +97,14 @@ void hash_scope(const expr::Scope& scope, Fnv1a& h, Mode mode) {
   }
 }
 
-void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode) {
+void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode,
+                 bool root) {
   h.tag('D');
-  h.text(design.name());
+  // The root's own name is no part of its structure: renamed copies
+  // share one plan, which takes the name from the design it is bound to
+  // (PlanInstance::bind_from).  A Play result carries the name, so the
+  // content key keeps it; macro names stay in both keys.
+  if (mode == Mode::kContent || !root) h.text(design.name());
   hash_scope(design.globals(), h, mode);
   // Custom functions can only be identified by name (a std::function has
   // no stable content); the engine assumes they are pure — docs/engine.md.
@@ -112,10 +117,13 @@ void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode) {
     h.text(row.name);
     hash_scope(row.params, h, mode);
     if (row.is_macro()) {
-      hash_design(*row.macro, h, mode);
+      hash_design(*row.macro, h, mode, false);
     } else {
       h.tag('M');
       h.text(row.model->name());
+      // A redefined model keeps its name but is a new instance: keying
+      // on the instance keeps the old equations out of plans and results.
+      h.size(row.model->instance_id());
     }
   }
 }
@@ -124,13 +132,13 @@ void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode) {
 
 std::uint64_t fingerprint(const sheet::Design& design) {
   Fnv1a h;
-  hash_design(design, h, Mode::kContent);
+  hash_design(design, h, Mode::kContent, true);
   return h.digest();
 }
 
 std::uint64_t structure_fingerprint(const sheet::Design& design) {
   Fnv1a h;
-  hash_design(design, h, Mode::kStructure);
+  hash_design(design, h, Mode::kStructure, true);
   return h.digest();
 }
 

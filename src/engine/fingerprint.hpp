@@ -2,10 +2,11 @@
 //
 // Two designs that Play identically must hash identically; anything Play
 // reads — global bindings (literal bits or formula source), row names,
-// models, enabled flags, row parameters, macro sub-designs, and the
-// names of design-local custom functions — feeds the hash.  Fields Play
-// never reads (descriptions, row notes) are excluded, so editing a
-// comment does not evict a cached result.
+// models (by name and Model::instance_id, so a redefined model is a new
+// key), enabled flags, row parameters, macro sub-designs, and the names
+// of design-local custom functions — feeds the hash.  Fields Play never
+// reads (descriptions, row notes) are excluded, so editing a comment
+// does not evict a cached result.
 //
 // FNV-1a 64-bit, the same family the library store uses for password
 // digests: cheap, dependency-free, and good enough for a cache key (a
@@ -41,11 +42,12 @@ class Fnv1a {
 std::uint64_t fingerprint(const sheet::Design& design);
 
 /// Structural fingerprint: like fingerprint(), but literal bindings
-/// contribute only their existence (kind tag), not their value bits.
-/// Two designs with equal structural fingerprints compile to the same
-/// EvalPlan — same slots, programs, row graph — differing only in the
-/// literal values PlanInstance::bind_from refreshes, which is exactly
-/// the plan cache's key invariant.  Formula bindings hash fully (a
+/// contribute only their existence (kind tag), not their value bits,
+/// and the root design's own name is left out.  Two designs with equal
+/// structural fingerprints compile to the same EvalPlan — same slots,
+/// programs, row graph — differing only in the literal values and the
+/// root name PlanInstance::bind_from refreshes, which is exactly the
+/// plan cache's key invariant.  Formula bindings hash fully (a
 /// formula's shape is compiled into the plan).
 std::uint64_t structure_fingerprint(const sheet::Design& design);
 

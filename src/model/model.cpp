@@ -1,4 +1,6 @@
 #include "model/model.hpp"
+
+#include <atomic>
 #include <cmath>
 
 namespace powerplay::model {
@@ -16,6 +18,11 @@ std::string to_string(Category c) {
     case Category::kMacro: return "macro";
   }
   return "?";
+}
+
+std::uint64_t Model::next_instance_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 const ParamSpec* Model::find_param(const std::string& name) const {

@@ -7,6 +7,7 @@
 // specs with defaults), and maps resolved parameters to an EQ 1 Estimate.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +42,8 @@ class Model {
       : name_(std::move(name)),
         category_(category),
         documentation_(std::move(documentation)),
-        params_(std::move(params)) {}
+        params_(std::move(params)),
+        instance_id_(next_instance_id()) {}
   virtual ~Model() = default;
 
   Model(const Model&) = delete;
@@ -49,6 +51,12 @@ class Model {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Category category() const { return category_; }
+
+  /// Process-unique id of this Model object, assigned at construction.
+  /// Evaluation caches key on it (engine/fingerprint.hpp): a model
+  /// redefined under the same name is a new object with a new id, and
+  /// unlike the object's address an id is never handed out again.
+  [[nodiscard]] std::uint64_t instance_id() const { return instance_id_; }
 
   /// Prose shown on the model's documentation page: which paper equation
   /// it implements, assumptions, characterization provenance.
@@ -92,10 +100,13 @@ class Model {
   [[nodiscard]] OperatingPoint operating_point(const ParamReader& p) const;
 
  private:
+  static std::uint64_t next_instance_id();
+
   std::string name_;
   Category category_;
   std::string documentation_;
   std::vector<ParamSpec> params_;
+  std::uint64_t instance_id_;
 };
 
 using ModelPtr = std::shared_ptr<const Model>;

@@ -108,34 +108,9 @@ BatchPlanInstance::BatchPlanInstance(std::shared_ptr<const EvalPlan> plan)
 }
 
 void BatchPlanInstance::bind_from(const Design& design) {
-  // Same slot-source walk as PlanInstance::bind_from, feeding the
-  // batch base values; the scalar fallback instance refreshes itself.
-  for (SlotId i = 0; i < static_cast<SlotId>(plan_->module_.slots.size());
-       ++i) {
-    const EvalPlan::SlotSource& src = plan_->slot_sources_[i];
-    if (!src.valid) continue;
-    const Design* d = &design;
-    bool ok = true;
-    for (const std::size_t ri : plan_->nodes_[src.node].path) {
-      if (ri >= d->rows().size() || !d->rows()[ri].is_macro()) {
-        ok = false;
-        break;
-      }
-      d = d->rows()[ri].macro.get();
-    }
-    if (!ok) continue;
-    if (src.row >= 0 && static_cast<std::size_t>(src.row) >= d->rows().size()) {
-      continue;
-    }
-    const expr::Scope& scope =
-        src.row < 0 ? d->globals()
-                    : d->rows()[static_cast<std::size_t>(src.row)].params;
-    const auto found = scope.lookup(src.name);
-    if (!found) continue;
-    if (const double* literal = std::get_if<double>(found->binding)) {
-      exec_.rebind_value(i, *literal);
-    }
-  }
+  plan_->for_each_literal(design, [this](SlotId slot, double value) {
+    exec_.rebind_value(slot, value);
+  });
   scalar_.bind_from(design);
 }
 
@@ -171,6 +146,11 @@ void BatchPlanInstance::ext(std::uint32_t site_index, std::size_t from,
   // estimate, and the totals sum the present rows in name order.
   using Kind = EvalPlan::ExtSite::Kind;
   const EvalPlan::ExtSite& site = plan_->ext_sites_[site_index];
+  if (site.kind == Kind::kMissingRow) {
+    // The block degrades to the scalar replay, which raises the error
+    // with the bound design's name.
+    throw expr::ExprError("batch: no such row");
+  }
   NodeFrame& frame = frames_[site.node];
   std::fill(frame.used.begin() + static_cast<std::ptrdiff_t>(from),
             frame.used.begin() + static_cast<std::ptrdiff_t>(to), 1);
@@ -210,6 +190,8 @@ void BatchPlanInstance::run_node_batch(std::uint32_t node_id,
                                        std::size_t width,
                                        const std::uint8_t* active_in) {
   const EvalPlan::Node& node = plan_->nodes_[node_id];
+  // Any throw degrades the block to the scalar replay, which raises the
+  // named error.
   if (!node.poison.empty()) throw expr::ExprError(node.poison);
 
   NodeFrame& frame = frames_[node_id];

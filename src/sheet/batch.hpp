@@ -204,9 +204,8 @@ class BatchPlanInstance {
   BatchStats stats_;
 };
 
-/// The sweep formatters.  The PlayResult-based renderers in sweep.hpp
-/// read their points into columns and render through these, so each
-/// output form has exactly one formatter.
+/// The sweep formatters: each output form has exactly one.  Serial
+/// PlayResult sweeps (sweep.hpp) render through to_columns.
 std::string grid_table(const ColumnarGrid& grid);
 std::string grid_csv(const ColumnarGrid& grid);
 std::string sweep_table(const ColumnarSweep& sweep);

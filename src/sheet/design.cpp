@@ -272,44 +272,4 @@ PlayResult Design::play(const expr::Scope* env) const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// DesignMacroModel
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<model::ParamSpec> macro_param_specs(const Design& d) {
-  std::vector<model::ParamSpec> specs;
-  for (const std::string& nm : d.globals().local_names()) {
-    model::ParamSpec s;
-    s.name = nm;
-    s.description = "macro global parameter (see design '" + d.name() + "')";
-    s.default_value = std::numeric_limits<double>::quiet_NaN();
-    specs.push_back(std::move(s));
-  }
-  return specs;
-}
-
-}  // namespace
-
-DesignMacroModel::DesignMacroModel(std::shared_ptr<const Design> design)
-    : Model("macro:" + design->name(), model::Category::kMacro,
-            "Hierarchical macro wrapping design '" + design->name() +
-                "': evaluating it runs that design's own Play with this "
-                "instantiation's parameter overrides, and reports the "
-                "combined totals.  " +
-                design->description(),
-            macro_param_specs(*design)),
-      design_(std::move(design)) {}
-
-model::Estimate DesignMacroModel::evaluate(const model::ParamReader& p) const {
-  expr::Scope env;
-  for (const std::string& nm : design_->globals().local_names()) {
-    const double v =
-        p.get_or(nm, std::numeric_limits<double>::quiet_NaN());
-    if (!std::isnan(v)) env.set(nm, v);
-  }
-  return design_->play(&env).total;
-}
-
 }  // namespace powerplay::sheet

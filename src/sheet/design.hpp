@@ -133,24 +133,4 @@ class Design {
   std::map<std::string, expr::Function> functions_;
 };
 
-/// Adapter exposing a Design as a library Model (hierarchical
-/// macro-modeling: "It should be possible to lump a modeled design ...
-/// into a single macro that can be used at higher levels of the system
-/// design, or re-used in other designs").  The macro's parameters are the
-/// sub-design's global names; instantiation-scope bindings override them.
-class DesignMacroModel final : public model::Model {
- public:
-  explicit DesignMacroModel(std::shared_ptr<const Design> design);
-
-  [[nodiscard]] model::Estimate evaluate(
-      const model::ParamReader& p) const override;
-
-  [[nodiscard]] const std::shared_ptr<const Design>& design() const {
-    return design_;
-  }
-
- private:
-  std::shared_ptr<const Design> design_;
-};
-
 }  // namespace powerplay::sheet

@@ -205,9 +205,8 @@ struct PlanBuilder {
         for (const std::string& fn : expr::referenced_functions(**f)) {
           if (is_intermodel(fn)) {
             plan.nodes_[id].poison =
-                "design '" + d.name() + "': global parameter '" + nm +
-                "' calls intermodel function '" + fn +
-                "' — intermodel terms are only allowed in row parameters";
+                "global parameter '" + nm + "' calls intermodel function '" +
+                fn + "' — intermodel terms are only allowed in row parameters";
             break;
           }
         }
@@ -437,8 +436,15 @@ struct PlanBuilder {
     }
     const Row* target = d.find_row(s->value);
     if (target == nullptr) {
-      comp.emit_throw(c.name + "(\"" + s->value +
-                      "\"): no such row in design '" + d.name() + "'");
+      // Thrown by ext() rather than baked into a kThrow text: the
+      // message names the node's design, and the root's name comes from
+      // the bound design, not from the one the plan was compiled from.
+      ExtSite site;
+      site.kind = Kind::kMissingRow;
+      site.node = ctx.node;
+      site.target_row = static_cast<std::uint32_t>(plan.missing_calls_.size());
+      plan.missing_calls_.push_back(c.name + "(\"" + s->value + "\")");
+      comp.emit(expr::Op::kExt, add_site(site));
       return true;
     }
     const auto target_row = static_cast<std::uint32_t>(target - d.rows().data());
@@ -577,7 +583,6 @@ struct PlanBuilder {
 
 std::shared_ptr<const EvalPlan> EvalPlan::compile(const Design& design) {
   std::shared_ptr<EvalPlan> plan(new EvalPlan());
-  plan->design_name_ = design.name();
   PlanBuilder b(*plan);
   b.add_node(design, -1, -1, {}, 0);
   // Intern every bound global and row parameter eagerly: sweeps re-bind
@@ -665,7 +670,9 @@ std::uint32_t EvalPlan::row_rank(const std::string& row) const {
 // ---------------------------------------------------------------------------
 
 PlanInstance::PlanInstance(std::shared_ptr<const EvalPlan> plan)
-    : plan_(std::move(plan)), state_(plan_->module_) {
+    : plan_(std::move(plan)),
+      root_name_(plan_->nodes_[0].design_name),
+      state_(plan_->module_) {
   state_.set_ext(&PlanInstance::ext_thunk, this);
   frames_.resize(plan_->nodes_.size());
   for (std::size_t n = 0; n < frames_.size(); ++n) {
@@ -680,32 +687,14 @@ PlanInstance::PlanInstance(std::shared_ptr<const EvalPlan> plan)
 void PlanInstance::bind(SlotId slot, double value) { state_.bind(slot, value); }
 
 void PlanInstance::bind_from(const Design& design) {
-  for (SlotId i = 0; i < static_cast<SlotId>(plan_->module_.slots.size());
-       ++i) {
-    const EvalPlan::SlotSource& src = plan_->slot_sources_[i];
-    if (!src.valid) continue;
-    const Design* d = &design;
-    bool ok = true;
-    for (const std::size_t ri : plan_->nodes_[src.node].path) {
-      if (ri >= d->rows().size() || !d->rows()[ri].is_macro()) {
-        ok = false;
-        break;
-      }
-      d = d->rows()[ri].macro.get();
-    }
-    if (!ok) continue;
-    if (src.row >= 0 && static_cast<std::size_t>(src.row) >= d->rows().size()) {
-      continue;
-    }
-    const expr::Scope& scope =
-        src.row < 0 ? d->globals()
-                    : d->rows()[static_cast<std::size_t>(src.row)].params;
-    const auto found = scope.lookup(src.name);
-    if (!found) continue;
-    if (const double* literal = std::get_if<double>(found->binding)) {
-      state_.rebind_value(i, *literal);
-    }
-  }
+  plan_->for_each_literal(design, [this](SlotId slot, double value) {
+    state_.rebind_value(slot, value);
+  });
+  root_name_ = design.name();
+}
+
+const std::string& PlanInstance::node_name(std::uint32_t node_id) const {
+  return node_id == 0 ? root_name_ : plan_->nodes_[node_id].design_name;
 }
 
 double PlanInstance::ext_thunk(void* ctx, std::uint32_t site, std::uint32_t) {
@@ -722,6 +711,10 @@ double PlanInstance::ext(std::uint32_t site_index) {
   switch (site.kind) {
     case Kind::kDisabledZero:
       return 0.0;
+    case Kind::kMissingRow:
+      throw expr::ExprError(plan_->missing_calls_[site.target_row] +
+                            ": no such row in design '" +
+                            node_name(site.node) + "'");
     case Kind::kRowPower:
       return (frame.present[site.target_row] ? frame.estimates[site.target_row]
                                              : kZero)
@@ -759,7 +752,10 @@ double PlanInstance::ext(std::uint32_t site_index) {
 
 PlayResult PlanInstance::run_node(std::uint32_t node_id) {
   const EvalPlan::Node& node = plan_->nodes_[node_id];
-  if (!node.poison.empty()) throw expr::ExprError(node.poison);
+  if (!node.poison.empty()) {
+    throw expr::ExprError("design '" + node_name(node_id) + "': " +
+                          node.poison);
+  }
 
   NodeFrame& frame = frames_[node_id];
   frame.intermodel_used = false;
@@ -768,7 +764,7 @@ PlayResult PlanInstance::run_node(std::uint32_t node_id) {
   state_.begin_epoch(node.globals_domain);
 
   PlayResult out;
-  out.design_name = node.design_name;
+  out.design_name = node_name(node_id);
 
   std::vector<Estimate> estimates;
   estimates.reserve(node.rows.size());
@@ -823,7 +819,7 @@ PlayResult PlanInstance::run_node(std::uint32_t node_id) {
     last_total = total;
     if (iter == Design::kMaxIterations) {
       throw expr::ExprError(
-          "design '" + node.design_name + "': Play did not converge after " +
+          "design '" + node_name(node_id) + "': Play did not converge after " +
           std::to_string(Design::kMaxIterations) +
           " sweeps — check for a diverging intermodel loop (e.g. a DC-DC "
           "converter with efficiency <= 50% feeding itself through "

@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "expr/compile.hpp"
@@ -75,10 +76,6 @@ class EvalPlan {
     bool has_slot = false;
   };
 
-  [[nodiscard]] const std::string& design_name() const {
-    return design_name_;
-  }
-
   /// Slot of a top-level global / a root row's local parameter, for
   /// sweep re-binding.  nullopt when the name is not bound there.
   [[nodiscard]] std::optional<expr::SlotId> global_slot(
@@ -118,10 +115,13 @@ class EvalPlan {
       kTotalPower,
       kTotalArea,
       kDisabledZero,  ///< target row disabled: flag + constant zero
+      kMissingRow,    ///< no such row: throws, naming the node's design
     };
     Kind kind;
-    std::uint32_t node = 0;        ///< owning node (its visible frame)
-    std::uint32_t target_row = 0;  ///< row index for the kRow* kinds
+    std::uint32_t node = 0;  ///< owning node (its visible frame)
+    /// Row index for the kRow* kinds; for kMissingRow, the index of the
+    /// call's text in missing_calls_.
+    std::uint32_t target_row = 0;
   };
 
   struct PlanRow {
@@ -144,9 +144,9 @@ class EvalPlan {
   struct Node {
     std::string design_name;
     std::vector<std::size_t> path;  ///< macro row indices from the root
-    /// Non-empty: play throws this at node entry (a surviving global
-    /// formula calls an intermodel function — same eager validation,
-    /// and the same message, as the interpreter).
+    /// Non-empty: play throws at node entry, "design '<name>': " + this
+    /// (a surviving global formula calls an intermodel function — same
+    /// eager validation, and the same message, as the interpreter).
     std::string poison;
     std::uint32_t globals_domain = 0;
     std::vector<PlanRow> rows;  ///< sheet order, disabled rows included
@@ -161,12 +161,50 @@ class EvalPlan {
     std::vector<std::pair<std::string, expr::SlotId>> chain_names;
   };
 
+  /// Call `bind(slot, value)` for every value slot whose binding in
+  /// `design` (structurally identical to the compiled one) is a literal:
+  /// the slot-source walk behind both instances' bind_from.
+  template <typename Bind>
+  void for_each_literal(const Design& design, Bind&& bind) const;
+
   expr::Module module_;
   std::vector<Node> nodes_;
   std::vector<ExtSite> ext_sites_;
   std::vector<SlotSource> slot_sources_;  ///< parallel to module_.slots
-  std::string design_name_;
+  /// Text of each intermodel call naming a missing row, e.g.
+  /// `rowpower("X")`, for the kMissingRow sites.
+  std::vector<std::string> missing_calls_;
 };
+
+template <typename Bind>
+void EvalPlan::for_each_literal(const Design& design, Bind&& bind) const {
+  for (expr::SlotId i = 0; i < static_cast<expr::SlotId>(slot_sources_.size());
+       ++i) {
+    const SlotSource& src = slot_sources_[i];
+    if (!src.valid) continue;
+    const Design* d = &design;
+    bool ok = true;
+    for (const std::size_t ri : nodes_[src.node].path) {
+      if (ri >= d->rows().size() || !d->rows()[ri].is_macro()) {
+        ok = false;
+        break;
+      }
+      d = d->rows()[ri].macro.get();
+    }
+    if (!ok) continue;
+    if (src.row >= 0 && static_cast<std::size_t>(src.row) >= d->rows().size()) {
+      continue;
+    }
+    const expr::Scope& scope =
+        src.row < 0 ? d->globals()
+                    : d->rows()[static_cast<std::size_t>(src.row)].params;
+    const auto found = scope.lookup(src.name);
+    if (!found) continue;
+    if (const double* literal = std::get_if<double>(found->binding)) {
+      bind(i, *literal);
+    }
+  }
+}
 
 /// Mutable evaluation scratch over a shared EvalPlan: slot values, memo
 /// epochs, and per-node visible frames.  One instance per thread; not
@@ -178,9 +216,10 @@ class PlanInstance {
   PlanInstance(const PlanInstance&) = delete;
   PlanInstance& operator=(const PlanInstance&) = delete;
 
-  /// Refresh every value slot from a structurally identical design
-  /// (same structural fingerprint; literal values may differ) and drop
-  /// sweep overrides.  Lets a cached plan serve edited designs.
+  /// Refresh every value slot and the root design's name from a
+  /// structurally identical design (same structural fingerprint; literal
+  /// values and the root name may differ) and drop sweep overrides.
+  /// Lets one cached plan serve edited and renamed designs.
   void bind_from(const Design& design);
 
   /// Override one slot with a literal (sweep point re-binding).
@@ -210,8 +249,12 @@ class PlanInstance {
   static double ext_thunk(void* ctx, std::uint32_t site, std::uint32_t b);
   double ext(std::uint32_t site);
   PlayResult run_node(std::uint32_t node_id);
+  /// The name a node's results and errors carry: the bound design's
+  /// for the root, the macro design's otherwise.
+  [[nodiscard]] const std::string& node_name(std::uint32_t node_id) const;
 
   std::shared_ptr<const EvalPlan> plan_;
+  std::string root_name_;
   expr::ExecState state_;
   std::vector<NodeFrame> frames_;
   PlanStats stats_;

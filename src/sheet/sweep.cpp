@@ -130,17 +130,12 @@ ColumnarSweep to_columns(const std::string& param,
   return out;
 }
 
-std::string grid_table(const GridSweep& grid) {
-  return grid_table(to_columns(grid));
-}
-
-std::string grid_csv(const GridSweep& grid) {
-  return grid_csv(to_columns(grid));
-}
-
-std::string sweep_csv(const std::string& param,
-                      const std::vector<SweepPoint>& points) {
-  return sweep_csv(to_columns(param, points));
+int axis_points(double value, const std::string& what) {
+  if (!(value >= 1 && value <= kMaxAxisPoints) || value != std::floor(value)) {
+    throw expr::ExprError(what + " must be an integer in [1, " +
+                          std::to_string(kMaxAxisPoints) + "]");
+  }
+  return static_cast<int>(value);
 }
 
 std::vector<double> linspace(double from, double to, int points) {
@@ -166,11 +161,6 @@ std::vector<double> geomspace(double from, double to, int points) {
     v *= ratio;
   }
   return out;
-}
-
-std::string sweep_table(const std::string& param,
-                        const std::vector<SweepPoint>& points) {
-  return sweep_table(to_columns(param, points));
 }
 
 }  // namespace powerplay::sheet

@@ -7,11 +7,12 @@
 // instant what-if loop of the Figure 4 form.
 //
 // The entry points here are the serial interpreter reference: one
-// design clone per sweep, re-set and re-Played per point.  The CLI, the
-// figure benches and the tests use them directly; the web app's jobs
-// run the engine's lane-batched columnar sweeps (engine/engine.hpp),
-// which are bit-identical to these loops.  Both forms render through
-// the one set of columnar formatters in sheet/batch.hpp.
+// design clone per sweep, re-set and re-Played per point.  The figure
+// benches, the examples and the tests use them directly; the web app's
+// jobs and the CLI run the engine's lane-batched columnar sweeps
+// (engine/engine.hpp), which are bit-identical to these loops.  Both
+// render through the one set of columnar formatters in sheet/batch.hpp
+// (serial results via to_columns).
 #pragma once
 
 #include <functional>
@@ -90,26 +91,19 @@ ColumnarGrid to_columns(const GridSweep& grid);
 ColumnarSweep to_columns(const std::string& param,
                          const std::vector<SweepPoint>& points);
 
-/// Render a grid as a total-power matrix table.
-std::string grid_table(const GridSweep& grid);
+/// Most points one sweep axis may ask for (web forms and the CLI).
+constexpr int kMaxAxisPoints = 256;
 
-/// Machine-readable long-form CSV: one line per grid point,
-/// `<x_param>,<y_param>,total_power_w,energy_per_op_j` (the /job result
-/// endpoint serves this form).
-std::string grid_csv(const GridSweep& grid);
-
-/// CSV for a one-parameter sweep: `<param>,total_power_w,energy_per_op_j`.
-std::string sweep_csv(const std::string& param,
-                      const std::vector<SweepPoint>& points);
+/// A sweep axis's point count: an integer in [1, kMaxAxisPoints].  The
+/// check runs on the double before the cast (the text may have been
+/// "nan", "inf" or "1e300", which no int holds).  Throws ExprError
+/// "<what> must be an integer in [1, 256]" otherwise.
+int axis_points(double value, const std::string& what);
 
 /// Inclusive linear range helper: {from, from+step, ..., to}.
 std::vector<double> linspace(double from, double to, int points);
 
 /// Geometric range helper: {from, from*ratio, ...} up to and incl. `to`.
 std::vector<double> geomspace(double from, double to, int points);
-
-/// Render a sweep as a two-column table (value, total power).
-std::string sweep_table(const std::string& param,
-                        const std::vector<SweepPoint>& points);
 
 }  // namespace powerplay::sheet

@@ -1,7 +1,6 @@
 #include "web/app.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -951,32 +950,32 @@ Response PowerPlayApp::do_design_add(const Params& q) {
     profile.designs.push_back(design_name);
     store_.save_user(profile);
   }
-  return render_design(user, design_name, "added row '" + row_name + "'");
+  return render_design(user, design, "added row '" + row_name + "'");
 }
 
-Response PowerPlayApp::page_design(const Params& q) const {
+Response PowerPlayApp::page_design(const Params& q) {
   const std::string user = need(q, "user");
   const std::string name = need(q, "name");
-  return render_design(user, name);
-}
-
-Response PowerPlayApp::render_design(const std::string& user,
-                                     const std::string& design_name,
-                                     const std::string& message) const {
-  library::validate_store_name(design_name);
-  if (!store_.has_design(design_name)) {
-    HtmlPage page("Design: " + design_name);
+  library::validate_store_name(name);
+  if (!store_.has_design(name)) {
+    HtmlPage page("Design: " + name);
     page.paragraph("No rows yet — add instances from the model library.");
     page.raw(link("/library", {{"user", user}}, "Model library"));
     return Response::ok_html(page.str());
   }
-  const auto design = store_.load_design(design_name, registry_);
-  const sheet::PlayResult result = design->play();
+  return render_design(user, *store_.load_design(name, registry_));
+}
+
+Response PowerPlayApp::render_design(const std::string& user,
+                                     const sheet::Design& design,
+                                     const std::string& message) {
+  const std::string& design_name = design.name();
+  const sheet::PlayResult result = engine_.play_compiled(design);
 
   HtmlPage page(design_name + " summary");
   if (!message.empty()) page.paragraph("[" + message + "]");
-  if (!design->description().empty()) {
-    page.paragraph(design->description());
+  if (!design.description().empty()) {
+    page.paragraph(design.description());
   }
 
   // Editable globals + Play button (the paper's "user can change any
@@ -985,8 +984,8 @@ Response PowerPlayApp::render_design(const std::string& user,
   HtmlForm play("/design/play", "POST");
   play.hidden("user", user);
   play.hidden("name", design_name);
-  for (const std::string& nm : design->globals().local_names()) {
-    auto found = design->globals().lookup(nm);
+  for (const std::string& nm : design.globals().local_names()) {
+    auto found = design.globals().lookup(nm);
     if (const double* literal = std::get_if<double>(found->binding)) {
       play.text_field(nm, "g_" + nm, library::number_text(*literal));
     } else {
@@ -1025,7 +1024,7 @@ Response PowerPlayApp::do_design_play(const Params& q) {
     }
   }
   store_.save_design(design);
-  return render_design(user, name, "recomputed");
+  return render_design(user, design, "recomputed");
 }
 
 Response PowerPlayApp::do_design_setrow(const Params& q) {
@@ -1046,7 +1045,7 @@ Response PowerPlayApp::do_design_setrow(const Params& q) {
     row->params.set_formula(param, value);
   }
   store_.save_design(design);
-  return render_design(user, name,
+  return render_design(user, design,
                        "set " + row_name + "." + param + " = " + value);
 }
 
@@ -1062,14 +1061,9 @@ struct SweepAxis {
   std::vector<double> values;
 };
 
-/// An axis point count: an integer in [1, 256].  Checked on the double
-/// before any cast (the text may be "nan", "inf" or "1e300").
+/// An axis point count: sheet::axis_points over the parsed text.
 int parse_axis_points(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
-  if (!(v >= 1 && v <= 256) || v != std::floor(v)) {
-    throw HttpError(what + " must be an integer in [1, 256]");
-  }
-  return static_cast<int>(v);
+  return sheet::axis_points(parse_double(text, what), what);
 }
 
 SweepAxis parse_axis(const Params& q, const std::string& prefix) {
@@ -1686,7 +1680,7 @@ Response PowerPlayApp::page_agent(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::design_csv(const Params& q) const {
+Response PowerPlayApp::design_csv(const Params& q) {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
@@ -1695,7 +1689,7 @@ Response PowerPlayApp::design_csv(const Params& q) const {
   const auto design = store_.load_design(name, registry_);
   Response r;
   r.content_type = "text/csv";
-  r.body = sheet::to_csv(design->play());
+  r.body = sheet::to_csv(engine_.play_compiled(*design));
   return r;
 }
 

@@ -174,7 +174,7 @@ class PowerPlayApp {
   Response page_library(const Params& q) const;
   Response page_model(const Params& q) const;
   Response do_design_add(const Params& q);
-  Response page_design(const Params& q) const;
+  Response page_design(const Params& q);
   Response do_design_play(const Params& q);
   Response do_design_setrow(const Params& q);
   Response do_design_sweep(const Params& q);
@@ -188,7 +188,7 @@ class PowerPlayApp {
   Response page_agent(const Params& q) const;
   Response do_set_password(const Params& q);
   Response page_help(const Params& q) const;
-  Response design_csv(const Params& q) const;
+  Response design_csv(const Params& q);
 
   Response api_models() const;
   Response api_model(const Params& q) const;
@@ -210,10 +210,10 @@ class PowerPlayApp {
   /// Load-or-create the profile for q["user"], enforcing its password.
   library::UserProfile authorized_user(const Params& q);
 
-  /// Render a design's spreadsheet page (shared by several handlers).
-  Response render_design(const std::string& user,
-                         const std::string& design_name,
-                         const std::string& message = {}) const;
+  /// Play `design` on its compiled plan and render its spreadsheet
+  /// page.  The write routes pass the design they just saved.
+  Response render_design(const std::string& user, const sheet::Design& design,
+                         const std::string& message = {});
 
   Response dispatch(const std::string& path, const std::string& method,
                     const Params& q);

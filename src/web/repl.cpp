@@ -75,14 +75,13 @@ ReplicationStats ReplicationFollower::stats() const {
 
 bool ReplicationFollower::wait_for_seq(std::uint64_t seq,
                                        std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const library::ReplCursor cursor = store_.replication_cursor();
-    if (cursor.valid && cursor.seq >= seq) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::unique_lock lock(mutex_);
-    cv_.wait_for(lock, std::chrono::milliseconds(2));
-  }
+  // Wait on the published stats, not on the store's cursor: records
+  // move the cursor as they apply, before poll_once publishes the batch,
+  // so a caller reading stats() on return could see the batch before.
+  std::unique_lock lock(mutex_);
+  return cv_.wait_for(lock, timeout, [&] {
+    return stats_.synced && stats_.cursor_seq >= seq;
+  });
 }
 
 bool ReplicationFollower::sleep_interruptible(
@@ -143,11 +142,14 @@ void ReplicationFollower::bootstrap() {
     throw HttpError("replication snapshot: corrupt body");
   }
   store_.install_replication_snapshot(snapshot);
-  std::lock_guard lock(mutex_);
-  ++stats_.resyncs_total;
-  stats_.synced = true;
-  stats_.cursor_epoch = snapshot.epoch;
-  stats_.cursor_seq = snapshot.seq;
+  {
+    std::lock_guard lock(mutex_);
+    ++stats_.resyncs_total;
+    stats_.synced = true;
+    stats_.cursor_epoch = snapshot.epoch;
+    stats_.cursor_seq = snapshot.seq;
+  }
+  cv_.notify_all();  // wake wait_for_seq
 }
 
 void ReplicationFollower::poll_once() {
@@ -208,20 +210,23 @@ void ReplicationFollower::poll_once() {
   const std::uint64_t pending =
       header_u64(resp, "x-repl-pending-bytes", 0);
 
-  std::lock_guard lock(mutex_);
-  ++stats_.polls;
-  stats_.records_applied += applied;
-  stats_.duplicates_skipped += duplicates;
-  if (resync) ++stats_.gaps_detected;
-  stats_.synced = now_cursor.valid;
-  stats_.cursor_epoch = now_cursor.epoch;
-  stats_.cursor_seq = now_cursor.seq;
-  stats_.lag_records = now_cursor.valid && primary_last > now_cursor.seq
-                           ? primary_last - now_cursor.seq
-                           : 0;
-  stats_.lag_bytes = pending;
-  caught_up_ = now_cursor.valid && stats_.lag_records == 0;
-  if (caught_up_) caught_up_at_ = std::chrono::steady_clock::now();
+  {
+    std::lock_guard lock(mutex_);
+    ++stats_.polls;
+    stats_.records_applied += applied;
+    stats_.duplicates_skipped += duplicates;
+    if (resync) ++stats_.gaps_detected;
+    stats_.synced = now_cursor.valid;
+    stats_.cursor_epoch = now_cursor.epoch;
+    stats_.cursor_seq = now_cursor.seq;
+    stats_.lag_records = now_cursor.valid && primary_last > now_cursor.seq
+                             ? primary_last - now_cursor.seq
+                             : 0;
+    stats_.lag_bytes = pending;
+    caught_up_ = now_cursor.valid && stats_.lag_records == 0;
+    if (caught_up_) caught_up_at_ = std::chrono::steady_clock::now();
+  }
+  cv_.notify_all();  // wake wait_for_seq
 }
 
 }  // namespace powerplay::web

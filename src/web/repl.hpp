@@ -96,8 +96,9 @@ class ReplicationFollower {
   [[nodiscard]] ReplicationStats stats() const;
   [[nodiscard]] bool running() const { return running_.load(); }
 
-  /// Test/ops helper: block until the local cursor reaches `seq` (true)
-  /// or `timeout` lapses (false).
+  /// Test/ops helper: block until the published cursor (stats()) reaches
+  /// `seq` (true) or `timeout` lapses (false).  stats() read after a true
+  /// return already counts the batch that reached `seq`.
   bool wait_for_seq(std::uint64_t seq, std::chrono::milliseconds timeout);
 
  private:

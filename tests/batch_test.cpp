@@ -123,8 +123,10 @@ TEST(BatchGrid, ColumnarGridBitIdenticalToScalarSweep) {
 
   // Given bit-identical values the engine's columns and the serial
   // results render to the same bytes.
-  EXPECT_EQ(sheet::grid_table(batched), sheet::grid_table(scalar));
-  EXPECT_EQ(sheet::grid_csv(batched), sheet::grid_csv(scalar));
+  EXPECT_EQ(sheet::grid_table(batched),
+            sheet::grid_table(sheet::to_columns(scalar)));
+  EXPECT_EQ(sheet::grid_csv(batched),
+            sheet::grid_csv(sheet::to_columns(scalar)));
   EXPECT_FALSE(sheet::grid_json(batched).empty());
 
   const BatchCounters c = engine.batch_counters();
@@ -176,8 +178,8 @@ TEST(BatchSweep, OneAxisSweepsBitIdenticalToSerialAtOneAndEightThreads) {
         engine->sweep_columnar(d, "add", "alpha", alphas).cols, row.cols);
   }
   EXPECT_EQ(sheet::sweep_csv(e8.sweep_columnar(d, "add", "alpha", alphas)),
-            sheet::sweep_csv("alpha",
-                             sheet::sweep_row_param(d, "add", "alpha", alphas)));
+            sheet::sweep_csv(sheet::to_columns(
+                "alpha", sheet::sweep_row_param(d, "add", "alpha", alphas))));
 }
 
 // --- point batches -----------------------------------------------------------

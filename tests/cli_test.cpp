@@ -3,8 +3,15 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "models/berkeley_library.hpp"
+#include "sheet/report.hpp"
+#include "sheet/sweep.hpp"
+#include "studies/vq.hpp"
 
 namespace powerplay::cli {
 namespace {
@@ -171,6 +178,44 @@ TEST_F(CliFixture, CsvOutput) {
   EXPECT_EQ(failures, 0);
   EXPECT_NE(out.find("row,model,power_w"), std::string::npos);
   EXPECT_NE(out.find("\"A\",\"comparator\""), std::string::npos);
+}
+
+// The point count is checked as an integer in [1, 256] on the parsed
+// double, before any cast or allocation (the web form's rule).
+TEST_F(CliFixture, SweepPointCountMustBeAnIntegerInRange) {
+  const std::vector<std::string> bad = {"nan", "inf", "0",
+                                        "2.5", "257", "1e300"};
+  std::string script =
+      "new s\nglobal vdd 1.0\nglobal f 1e6\nadd A register\n";
+  for (const std::string& points : bad) {
+    script += "sweep vdd 1 3 " + points + "\n";
+  }
+  const auto [failures, out] = run(script);
+  EXPECT_EQ(failures, static_cast<int>(bad.size()));
+  const std::string error = "error: points must be an integer in [1, 256]\n";
+  std::size_t errors = 0;
+  for (std::size_t at = out.find(error); at != std::string::npos;
+       at = out.find(error, at + 1)) {
+    ++errors;
+  }
+  EXPECT_EQ(errors, bad.size()) << out;
+  EXPECT_EQ(out.find("vdd\ttotal power"), std::string::npos) << out;
+}
+
+// play, csv and sweep run on the compiled plan; their output is the
+// interpreter's, byte for byte.
+TEST_F(CliFixture, PlayCsvAndSweepMatchTheInterpreter) {
+  model::ModelRegistry lib;
+  models::add_berkeley_models(lib);
+  const sheet::Design d = studies::make_luminance_impl2(lib);
+  library::LibraryStore(dir).save_design(d);
+  const auto [failures, out] =
+      run("open Luminance_2\nplay\ncsv\nsweep vdd 1 3 5\n");
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(out, sheet::to_table(d.play()) + sheet::to_csv(d.play()) +
+                     sheet::sweep_table(sheet::to_columns(
+                         "vdd", sheet::sweep_global(
+                                    d, "vdd", sheet::linspace(1, 3, 5)))));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/job.hpp"
+#include "model/user_model.hpp"
 #include "models/berkeley_library.hpp"
 #include "reference.hpp"
 #include "studies/vq.hpp"
@@ -165,6 +166,41 @@ TEST(EvalEngine, RepeatedPlayOfUnchangedDesignIsACacheHit) {
   EXPECT_EQ(engine.cache().stats().misses, 2u);
 }
 
+// A model redefined under its old name (POST /newmodel, a federation
+// mirror sync) is a new instance: neither the plan cache nor the Play
+// memo may keep answering with the old equations.
+TEST(EvalEngine, RedefinedModelMissesBothCaches) {
+  model::ModelRegistry reg;
+  const auto define = [&reg](const std::string& watts) {
+    model::UserModelDefinition def;
+    def.name = "m";
+    def.power_direct = watts;
+    reg.add_or_replace(std::make_shared<model::UserModel>(def));
+    sheet::Design d("user_design");
+    d.globals().set("vdd", 1.0);
+    d.globals().set("f", 1e6);
+    d.add_row("M", reg.find_shared("m"));
+    return d;
+  };
+  const std::vector<double> vdds = {1.0, 2.0};
+  EvalEngine engine;
+  const sheet::Design old_design = define("1");
+  EXPECT_DOUBLE_EQ(
+      engine.sweep_columnar(old_design, "", "vdd", vdds).cols.power_w[1], 1.0);
+  EXPECT_DOUBLE_EQ(engine.play(old_design)->total.total_power().si(), 1.0);
+
+  const sheet::Design d = define("2");
+  EXPECT_NE(structure_fingerprint(d), structure_fingerprint(old_design));
+  EXPECT_NE(fingerprint(d), fingerprint(old_design));
+  const sheet::ColumnarSweep swept = engine.sweep_columnar(d, "", "vdd", vdds);
+  reference::expect_same_columns(
+      swept.cols,
+      sheet::to_columns("vdd", sheet::sweep_global(d, "vdd", vdds)).cols);
+  EXPECT_DOUBLE_EQ(swept.cols.power_w[1], 2.0);
+  EXPECT_DOUBLE_EQ(engine.play(d)->total.total_power().si(), 2.0);
+  EXPECT_DOUBLE_EQ(engine.play_compiled(d).total.total_power().si(), 2.0);
+}
+
 // --- Columnar sweeps -------------------------------------------------------
 
 TEST(EngineSweep, GlobalSweepBitIdenticalToSerial) {
@@ -241,7 +277,7 @@ TEST(SweepValidation, UnknownRowParamThrows) {
 TEST(GridCsv, LongFormMachineReadable) {
   const sheet::Design d = adder_design();
   const auto grid = sheet::sweep_grid(d, "vdd", {1.0, 2.0}, "f", {1e6});
-  const std::string csv = sheet::grid_csv(grid);
+  const std::string csv = sheet::grid_csv(sheet::to_columns(grid));
   EXPECT_NE(csv.find("vdd,f,total_power_w,energy_per_op_j\n"),
             std::string::npos);
   // 2x1 grid -> header + 2 data lines.

@@ -58,6 +58,14 @@ void expect_plan_matches_interpreter(const Design& d) {
   expect_same_result(d.play(), inst.play());
 }
 
+/// Same rows and globals under another name.
+Design renamed(const Design& src, const std::string& name) {
+  Design d(name, src.description());
+  d.globals() = src.globals();
+  d.rows() = src.rows();
+  return d;
+}
+
 std::string play_error(const Design& d) {
   try {
     (void)d.play();
@@ -179,6 +187,71 @@ TEST(PlanEngine, PlanCacheHitsOnStructurallyIdenticalDesigns) {
   d.globals().set("extra", 1.0);
   (void)engine.play(d);
   EXPECT_EQ(engine.plans().stats().misses, 2u);
+
+  // A renamed copy is no new structure: a plan hit, and the result is
+  // named after the copy.
+  const Design copy = renamed(d, "Luminance_2_copy");
+  const PlayResult r = engine.play_compiled(copy);
+  EXPECT_EQ(engine.plans().stats().misses, 2u);
+  EXPECT_EQ(engine.plans().stats().hits, 2u);
+  EXPECT_EQ(r.design_name, "Luminance_2_copy");
+  expect_same_result(copy.play(), r);
+}
+
+// One plan serves every renamed copy of a design, so the root name its
+// results and errors carry comes from the design bound at Play time —
+// for the scalar instance and for the batch path's scalar replay.
+TEST(PlanEngine, SharedPlanErrorsNameTheBoundDesign) {
+  // Global formula calling an intermodel function.
+  Design poisoned("poisoned");
+  poisoned.globals().set("vdd", 1.5);
+  poisoned.globals().set("f", 1e6);
+  poisoned.globals().set_formula("x", "totalpower()");
+  poisoned.add_row("r", lib().find_shared("register"));
+
+  // rowpower of a missing row.
+  Design missing("missing");
+  missing.globals().set("vdd", 6.0);
+  missing.add_row("Conv", lib().find_shared("dcdc_converter"))
+      .params.set_formula("p_load", "rowpower(\"Nope\")");
+
+  // A converter at 50% efficiency feeding itself never converges.
+  Design diverging("diverging");
+  diverging.globals().set("vdd", 6.0);
+  diverging.add_row("Load", lib().find_shared("datasheet_component"))
+      .params.set("p_typical", 3.0);
+  auto& conv = diverging.add_row("Conv", lib().find_shared("dcdc_converter"));
+  conv.params.set("efficiency", 0.5);
+  conv.params.set_formula("p_load", "totalpower()");
+
+  for (const Design* d : {&poisoned, &missing, &diverging}) {
+    engine::EvalEngine engine;
+    const Design copy = renamed(*d, d->name() + "_copy");
+    const std::string original = play_error(*d);
+    const std::string expect = play_error(copy);
+    ASSERT_NE(expect.find("'" + copy.name() + "'"), std::string::npos)
+        << expect;
+    EXPECT_THROW((void)engine.play_compiled(*d), expr::ExprError);
+    try {
+      (void)engine.play_compiled(copy);
+      ADD_FAILURE() << copy.name() << " played";
+    } catch (const expr::ExprError& e) {
+      EXPECT_EQ(e.what(), expect);
+    }
+    try {
+      (void)engine.sweep_columnar(copy, "", "vdd", {5.0, 6.0, 7.0});
+      ADD_FAILURE() << copy.name() << " swept";
+    } catch (const expr::ExprError& e) {
+      EXPECT_EQ(e.what(), expect);
+    }
+    // The original still names itself after the copy reused its plan.
+    try {
+      (void)engine.play_compiled(*d);
+    } catch (const expr::ExprError& e) {
+      EXPECT_EQ(e.what(), original);
+    }
+    EXPECT_EQ(engine.plans().stats().misses, 1u) << d->name();
+  }
 }
 
 TEST(PlanEngine, SweepGlobalMatchesSerial) {

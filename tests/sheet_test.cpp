@@ -307,17 +307,6 @@ TEST(Macro, UnsetMacroGlobalsInheritFromDesign) {
   EXPECT_NEAR(r.rows[0].estimate.energy_per_op.si(), 8 * 15e-15 * 4.0, 1e-18);
 }
 
-TEST(Macro, DesignMacroModelAdapter) {
-  DesignMacroModel adapter(register_macro());
-  EXPECT_EQ(adapter.name(), "macro:regmacro");
-  model::MapParamReader p;
-  p.set("f", 3e6);
-  const model::Estimate e = adapter.evaluate(p);
-  const double base =
-      register_macro()->play().total.total_power().si();
-  EXPECT_NEAR(e.total_power().si(), 3 * base, 1e-15);
-}
-
 TEST(Macro, NestedTwoLevels) {
   auto leaf = register_macro();
   auto mid = std::make_shared<Design>("mid");
@@ -530,7 +519,7 @@ TEST(Sweep, GridRejectsSameParameterTwice) {
 TEST(Sweep, GridTableRendering) {
   const auto grid =
       sheet::sweep_grid(adder_design(), "vdd", {1.0, 1.5}, "f", {1e6});
-  const std::string t = sheet::grid_table(grid);
+  const std::string t = sheet::grid_table(sheet::to_columns(grid));
   EXPECT_NE(t.find("vdd"), std::string::npos);
   EXPECT_NE(t.find("1.5"), std::string::npos);
   EXPECT_NE(t.find("W"), std::string::npos);
@@ -538,7 +527,7 @@ TEST(Sweep, GridTableRendering) {
 
 TEST(Sweep, TableRendering) {
   const auto points = sweep_global(adder_design(), "vdd", {1.0, 1.5});
-  const std::string t = sweep_table("vdd", points);
+  const std::string t = sweep_table(to_columns("vdd", points));
   EXPECT_NE(t.find("vdd"), std::string::npos);
   EXPECT_NE(t.find("1.5"), std::string::npos);
 }

@@ -3,10 +3,20 @@
 // plus the model-creation form and the export API.
 #include "web/app.hpp"
 
+#include <chrono>
 #include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "library/textio.hpp"
+#include "sheet/report.hpp"
+#include "sheet/sweep.hpp"
+#include "studies/infopad.hpp"
+#include "studies/vq.hpp"
+#include "units/units.hpp"
 #include "web/client.hpp"
 #include "web/server.hpp"
 
@@ -363,6 +373,236 @@ TEST_F(AppFixture, PasswordRestrictedAccess) {
 TEST_F(AppFixture, PathTraversalRejected) {
   EXPECT_NE(get("/api/model?name=..%2F..%2Fetc%2Fpasswd").status, 200);
   EXPECT_NE(get("/design?user=dl&name=..%2Fx").status, 200);
+}
+
+// --- Play on the compiled plan ---------------------------------------------
+
+/// Same rows and globals under another name.
+sheet::Design renamed(const sheet::Design& src, const std::string& name) {
+  sheet::Design d(name, src.description());
+  d.globals() = src.globals();
+  d.rows() = src.rows();
+  return d;
+}
+
+/// A design page less its "[message]" paragraph.
+std::string without_message(std::string page) {
+  const auto at = page.find("<p>[");
+  if (at != std::string::npos) {
+    page.erase(at, page.find("</p>\n", at) + 5 - at);
+  }
+  return page;
+}
+
+/// The 400 body an interpreter Play error of `d` turns into.
+std::string play_error_reply(const sheet::Design& d) {
+  try {
+    (void)d.play();
+  } catch (const expr::ExprError& e) {
+    return std::string("bad request: ") + e.what() + "\n";
+  }
+  ADD_FAILURE() << d.name() << " played";
+  return {};
+}
+
+/// A DC-DC converter fed from totalpower(), its own loss included: a
+/// fixed point of several sweeps that diverges at 50% efficiency.
+sheet::Design converter_board(const model::ModelRegistry& reg) {
+  sheet::Design d("Converter_Board");
+  d.globals().set("vdd", 6.0);
+  d.globals().set("eff", 0.85);
+  d.add_row("Load", reg.find_shared("datasheet_component"))
+      .params.set("p_typical", 2.0);
+  auto& conv = d.add_row("Conv", reg.find_shared("dcdc_converter"));
+  conv.params.set_formula("efficiency", "eff");
+  conv.params.set_formula("p_load", "totalpower()");
+  return d;
+}
+
+// Every Play route runs the compiled plan.  The CSV export is the
+// interpreter's bytes; the write routes render the design they saved,
+// which reads exactly as the GET that follows.
+TEST_F(AppFixture, CompiledPlayIsByteIdenticalToTheInterpreter) {
+  struct Edit {
+    sheet::Design design;
+    std::string global;
+    double global_value;
+    std::string row;
+    std::string param;
+    double param_value;
+  };
+  const model::ModelRegistry& reg = app->registry();
+  std::vector<Edit> edits;
+  edits.push_back({studies::make_luminance_impl1(reg), "vdd", 1.6,
+                   "Look Up Table", "bits", 7});
+  edits.push_back({studies::make_luminance_impl2(reg), "pixel_rate", 3e6,
+                   "Hold Register", "bits", 12});
+  edits.push_back({studies::make_infopad(reg), "vdd", 5.5,
+                   "Support Electronics", "p_typical", 0.6});
+  edits.push_back({converter_board(reg), "eff", 0.9, "Load", "p_typical",
+                   3.5});
+  for (Edit& e : edits) {
+    sheet::Design& d = e.design;
+    const std::string name = d.name();
+    SCOPED_TRACE(name);
+    app->store().save_design(d);
+    const Response csv = get("/design/csv?user=dl&name=" + name);
+    ASSERT_EQ(csv.status, 200) << csv.body;
+    EXPECT_EQ(csv.body, sheet::to_csv(d.play()));
+
+    const Response played =
+        post("/design/play",
+             {{"user", "dl"},
+              {"name", name},
+              {"g_" + e.global, library::number_text(e.global_value)}});
+    ASSERT_EQ(played.status, 200) << played.body;
+    EXPECT_NE(played.body.find("<p>[recomputed]</p>"), std::string::npos);
+    EXPECT_EQ(without_message(played.body),
+              get("/design?user=dl&name=" + name).body);
+    d.globals().set(e.global, e.global_value);
+    EXPECT_EQ(get("/design/csv?user=dl&name=" + name).body,
+              sheet::to_csv(d.play()));
+
+    const Response set = post(
+        "/design/setrow", {{"user", "dl"},
+                           {"name", name},
+                           {"row", e.row},
+                           {"param", e.param},
+                           {"value", library::number_text(e.param_value)}});
+    ASSERT_EQ(set.status, 200) << set.body;
+    EXPECT_EQ(without_message(set.body),
+              get("/design?user=dl&name=" + name).body);
+    d.find_row(e.row)->params.set(e.param, e.param_value);
+    EXPECT_EQ(get("/design/csv?user=dl&name=" + name).body,
+              sheet::to_csv(d.play()));
+  }
+}
+
+// Error pages carry the interpreter's message, and a renamed copy —
+// which shares the original's compiled plan — is named as itself.
+TEST_F(AppFixture, PlayErrorsNameTheRightDesignAfterARename) {
+  const model::ModelRegistry& reg = app->registry();
+  app->store().save_design(converter_board(reg));
+  sheet::Design local = converter_board(reg);
+
+  const auto expect_error_pages = [&](const Response& reply,
+                                      const std::string& copy_name) {
+    EXPECT_EQ(reply.status, 400);
+    EXPECT_EQ(reply.body, play_error_reply(local));
+    const sheet::Design copy = renamed(local, copy_name);
+    app->store().save_design(copy);
+    const Response copied = get("/design?user=dl&name=" + copy_name);
+    EXPECT_EQ(copied.status, 400);
+    EXPECT_EQ(copied.body, play_error_reply(copy));
+    EXPECT_NE(copied.body.find("'" + copy_name + "'"), std::string::npos)
+        << copied.body;
+    EXPECT_EQ(get("/design/csv?user=dl&name=Converter_Board").body,
+              play_error_reply(local));
+  };
+
+  // A converter at 50% efficiency feeding itself never converges.
+  local.globals().set("eff", 0.5);
+  expect_error_pages(post("/design/play", {{"user", "dl"},
+                                           {"name", "Converter_Board"},
+                                           {"g_eff", "0.5"}}),
+                     "Diverging_Copy");
+
+  // A global formula calling an intermodel function.
+  local.globals().set("eff", 0.85);
+  local.globals().set_formula("budget", "totalpower()");
+  expect_error_pages(post("/design/play", {{"user", "dl"},
+                                           {"name", "Converter_Board"},
+                                           {"g_eff", "0.85"},
+                                           {"g_budget", "totalpower()"}}),
+                     "Poisoned_Copy");
+
+  // rowpower of a missing row.
+  local = converter_board(reg);
+  local.find_row("Conv")->params.set_formula("p_load", "rowpower(\"Nope\")");
+  app->store().save_design(converter_board(reg));
+  expect_error_pages(post("/design/setrow", {{"user", "dl"},
+                                             {"name", "Converter_Board"},
+                                             {"row", "Conv"},
+                                             {"param", "p_load"},
+                                             {"value", "rowpower(\"Nope\")"}}),
+                     "Missing_Row_Copy");
+}
+
+// Renamed copies share one compiled plan: 300 Luminance_2 copies
+// leave one plan in the engine's cache.
+TEST_F(AppFixture, RenamedCopiesShareOnePlan) {
+  const sheet::Design lum2 = studies::make_luminance_impl2(app->registry());
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "Lum2_copy_" + std::to_string(i);
+    app->store().save_design(renamed(lum2, name));
+    const Response page = get("/design?user=dl&name=" + name);
+    ASSERT_EQ(page.status, 200) << page.body;
+    ASSERT_NE(page.body.find(name + " summary"), std::string::npos);
+  }
+  const engine::CacheStats plans = app->engine().plans().stats();
+  EXPECT_EQ(plans.size, 1u);
+  EXPECT_EQ(plans.misses, 1u);
+  EXPECT_EQ(plans.hits, 299u);
+}
+
+// A model redefined through POST /newmodel is a new model to every
+// evaluation path: sweep jobs and Play answer with the new equations.
+TEST_F(AppFixture, RedefinedModelReachesSweepJobsAndPlay) {
+  const auto define = [this](const std::string& watts) {
+    return post("/newmodel", {{"user", "dl"},
+                              {"name", "brick"},
+                              {"category", "system"},
+                              {"power_direct", watts}})
+        .status;
+  };
+  const auto job_csv = [this] {
+    const Response submit =
+        post("/design/sweep", {{"user", "dl"},
+                               {"name", "Bricks"},
+                               {"x_param", "vdd"},
+                               {"x_from", "1"},
+                               {"x_to", "3"},
+                               {"x_points", "5"}});
+    EXPECT_EQ(submit.status, 200) << submit.body;
+    const std::string id = submit.body.substr(4, submit.body.find('\n') - 4);
+    for (int i = 0; i < 500; ++i) {
+      if (get("/job?id=" + id).body.find("status: done") !=
+          std::string::npos) {
+        return get("/job?id=" + id + "&format=csv").body;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "job " << id << " never finished";
+    return std::string();
+  };
+  const auto serial_csv = [this] {
+    const auto d = app->store().load_design("Bricks", app->registry());
+    return sheet::sweep_csv(sheet::to_columns(
+        "vdd", sheet::sweep_global(*d, "vdd", sheet::linspace(1, 3, 5))));
+  };
+
+  ASSERT_EQ(define("1"), 200);
+  ASSERT_EQ(post("/design/add", {{"user", "dl"},
+                                 {"model", "brick"},
+                                 {"design", "Bricks"},
+                                 {"row", "B"}})
+                .status,
+            200);
+  EXPECT_EQ(job_csv(), serial_csv());
+
+  ASSERT_EQ(define("2"), 200);
+  const std::string redefined = serial_csv();
+  EXPECT_NE(redefined.find(",2,"), std::string::npos) << redefined;
+  EXPECT_EQ(job_csv(), redefined);
+
+  const Response played =
+      post("/design/play", {{"user", "dl"}, {"name", "Bricks"}});
+  ASSERT_EQ(played.status, 200) << played.body;
+  EXPECT_NE(played.body.find(units::format_si(2.0, "W")), std::string::npos)
+      << played.body;
+  const auto d = app->store().load_design("Bricks", app->registry());
+  EXPECT_EQ(get("/design/csv?user=dl&name=Bricks").body,
+            sheet::to_csv(d->play()));
 }
 
 }  // namespace

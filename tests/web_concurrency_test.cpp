@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,40 @@ namespace powerplay::web {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Work for a job that holds its runner until open() (or the gate's
+/// destruction, so a failed assertion never leaves the runner parked).
+class RunnerGate {
+ public:
+  RunnerGate() : state_(std::make_shared<State>()) {}
+  ~RunnerGate() { open(); }
+  RunnerGate(const RunnerGate&) = delete;
+  RunnerGate& operator=(const RunnerGate&) = delete;
+
+  [[nodiscard]] engine::JobManager::Work work() const {
+    return [state = state_](const engine::JobManager::Progress&) {
+      std::unique_lock lock(state->mutex);
+      state->cv.wait(lock, [&] { return state->open; });
+      return engine::JobResult{};
+    };
+  }
+
+  void open() {
+    {
+      std::lock_guard lock(state_->mutex);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_;
+};
 
 struct ConcurrencyFixture : ::testing::Test {
   fs::path dir;
@@ -287,26 +324,26 @@ TEST_F(ConcurrencyFixture, OneDimensionalSweepJobCsvMatchesSerialSweep) {
                     {"x_from", "1.0"},
                     {"x_to", "3.0"},
                     {"x_points", "65"}}),
-            sheet::sweep_csv("vdd",
-                             sheet::sweep_global(
-                                 *design, "vdd",
-                                 sheet::linspace(1.0, 3.0, 65))));
+            sheet::sweep_csv(sheet::to_columns(
+                "vdd", sheet::sweep_global(*design, "vdd",
+                                           sheet::linspace(1.0, 3.0, 65)))));
   EXPECT_EQ(csv_of({{"row", "Reg"},
                     {"x_param", "bits"},
                     {"x_from", "4"},
                     {"x_to", "64"},
                     {"x_points", "16"}}),
-            sheet::sweep_csv("bits", sheet::sweep_row_param(
-                                         *design, "Reg", "bits",
-                                         sheet::linspace(4, 64, 16))));
+            sheet::sweep_csv(sheet::to_columns(
+                "bits", sheet::sweep_row_param(*design, "Reg", "bits",
+                                               sheet::linspace(4, 64, 16)))));
   EXPECT_EQ(csv_of({{"row", "Reg"},
                     {"x_param", "alpha"},
                     {"x_from", "0.05"},
                     {"x_to", "1"},
                     {"x_points", "100"}}),
-            sheet::sweep_csv("alpha", sheet::sweep_row_param(
-                                          *design, "Reg", "alpha",
-                                          sheet::linspace(0.05, 1, 100))));
+            sheet::sweep_csv(sheet::to_columns(
+                "alpha",
+                sheet::sweep_row_param(*design, "Reg", "alpha",
+                                       sheet::linspace(0.05, 1, 100)))));
 }
 
 // Several users submit sweep jobs at once while others keep reading;
@@ -596,10 +633,11 @@ TEST_F(ConcurrencyFixture, JobCancelOverHttp) {
                                  {"p_f", "1000000"}})
                 .status,
             200);
-  // Two sizable grid jobs on the single runner: the first occupies it,
-  // the second is the cancel target — either still queued behind the
-  // first or (if the first already finished) too big to have completed
-  // inside the cancel round trip.
+  // Park the single runner on a job that waits for the test: both grid
+  // jobs below queue behind it, so the second — the cancel target — is
+  // deterministically still queued when the cancel arrives.
+  RunnerGate gate;
+  (void)app->jobs().submit("dl", "parked runner", gate.work());
   ASSERT_EQ(post("/design/sweep", {{"user", "dl"},    {"name", "C"},
                                    {"x_param", "vdd"}, {"x_from", "1.0"},
                                    {"x_to", "3.0"},    {"x_points", "64"},
@@ -607,8 +645,6 @@ TEST_F(ConcurrencyFixture, JobCancelOverHttp) {
                                    {"y_to", "4e6"},    {"y_points", "64"}})
                 .status,
             200);
-  // Different axis ranges: no Play-cache hits, so this one cannot race
-  // to completion inside the cancel round trip.
   const Response submit =
       post("/design/sweep", {{"user", "dl"},    {"name", "C"},
                              {"x_param", "vdd"}, {"x_from", "0.7"},
@@ -625,7 +661,8 @@ TEST_F(ConcurrencyFixture, JobCancelOverHttp) {
   const Response cancel = post("/job/cancel", {{"user", "dl"}, {"id", id}});
   ASSERT_EQ(cancel.status, 200) << cancel.body;
   EXPECT_NE(cancel.body.find("status: cancel"), std::string::npos)
-      << cancel.body;  // "cancelled" (queued) or "cancelling" (running)
+      << cancel.body;  // "cancelled": still queued behind the parked job
+  gate.open();
 
   // The job reaches the terminal cancelled state and frees its runner.
   std::string status;
