@@ -1,6 +1,7 @@
 #include "engine/job.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace powerplay::engine {
@@ -23,12 +24,33 @@ std::string to_string(JobStatus status) {
 
 namespace {
 
+/// Pre-rendered text: each format served as given.
+class TextBody final : public JobResult::Body {
+ public:
+  TextBody(std::string table, std::string csv, std::string json)
+      : text_{std::move(table), std::move(csv), std::move(json)} {}
+  bool has(JobFormat format) const override {
+    return format != JobFormat::kJson || !text(format).empty();
+  }
+  std::string render(JobFormat format) const override { return text(format); }
+
+ private:
+  const std::string& text(JobFormat format) const {
+    return text_[static_cast<std::size_t>(format)];
+  }
+  std::array<std::string, 3> text_;
+};
+
 bool is_finished(JobStatus status) {
   return status == JobStatus::kDone || status == JobStatus::kFailed ||
          status == JobStatus::kCancelled;
 }
 
 }  // namespace
+
+JobResult::JobResult(std::string table, std::string csv, std::string json)
+    : body_(std::make_shared<const TextBody>(
+          std::move(table), std::move(csv), std::move(json))) {}
 
 JobManager::JobManager(JobOptions options) : options_(options) {
   if (options_.runner_count == 0) options_.runner_count = 1;
@@ -230,11 +252,6 @@ void JobManager::runner_loop() {
     std::string error;
     try {
       result = work(progress);
-      // Finished results stay in the history (up to retained_jobs), so
-      // they keep no spare capacity from being built by appending.
-      result.table.shrink_to_fit();
-      result.csv.shrink_to_fit();
-      result.json.shrink_to_fit();
       // A cancel that raced the final point still wins: the client
       // asked for the job to stop, so don't hand back a result.
       if (cancel->load()) {

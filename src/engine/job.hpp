@@ -3,8 +3,9 @@
 // A sweep over a big grid is too slow to answer inline on a mid-90s
 // modem — and too useful to serialize behind one request.  The web app
 // enqueues the work here and answers immediately with a job id; the
-// client polls /job?id= for progress and fetches the grid (table or
-// CSV) when done.
+// client polls /job?id= for progress and fetches the grid (table, CSV
+// or JSON) when done.  A job's result stays typed: the runner only
+// computes, and the reader's thread renders the one format it asks for.
 //
 // Jobs are drained by their own small runner-thread pool, deliberately
 // separate from the point Executor: a job *waits* on the points it fans
@@ -33,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace powerplay::engine {
@@ -63,14 +65,50 @@ enum class CancelOutcome {
   kRequested,        ///< running; will stop at its next progress point
 };
 
-/// What a finished job hands back: a human-readable table and a
-/// machine-readable CSV of the same data.
-struct JobResult {
-  std::string table;
-  std::string csv;
-  /// Optional machine-readable payload (e.g. a Pareto frontier); served
-  /// by GET /job?format=json when non-empty.
-  std::string json;
+/// The forms a finished job's result can be read in: the text table of
+/// the /job poll, the CSV of ?format=csv and the JSON of ?format=json.
+enum class JobFormat { kTable, kCsv, kJson };
+
+/// What a finished job hands back: its typed result (a grid's columns,
+/// a Monte Carlo sample, ...), immutable and shared, rendered into one
+/// format only when a reader asks for it.  Copying a JobResult (as
+/// every JobManager::get does) copies a pointer, never rendered bytes,
+/// and the retained history holds points, not formats.
+class JobResult {
+ public:
+  /// A typed result and its renderers.  Immutable once built, so
+  /// render() may run on any number of threads at once.
+  class Body {
+   public:
+    Body() = default;
+    Body(const Body&) = delete;
+    Body& operator=(const Body&) = delete;
+    virtual ~Body() = default;
+    [[nodiscard]] virtual bool has(JobFormat format) const = 0;
+    [[nodiscard]] virtual std::string render(JobFormat format) const = 0;
+  };
+
+  /// No result: every format is absent.
+  JobResult() = default;
+  explicit JobResult(std::shared_ptr<const Body> body)
+      : body_(std::move(body)) {}
+  /// Text rendered up front, for work that already holds it (an
+  /// in-process replay, a test); an empty `json` means none.
+  JobResult(std::string table, std::string csv, std::string json = {});
+
+  [[nodiscard]] bool has(JobFormat format) const {
+    return body_ != nullptr && body_->has(format);
+  }
+  /// The result in `format`, rendered now; "" when !has(format).
+  [[nodiscard]] std::string render(JobFormat format) const {
+    return has(format) ? body_->render(format) : std::string();
+  }
+  /// The shared body (null for no result): two snapshots of one job
+  /// point at the same one.
+  [[nodiscard]] const Body* body() const { return body_.get(); }
+
+ private:
+  std::shared_ptr<const Body> body_;
 };
 
 /// Immutable copy of a job's state at one poll.
@@ -82,7 +120,7 @@ struct JobSnapshot {
   std::size_t done = 0;   ///< points completed so far
   std::size_t total = 0;  ///< points overall (0 until the job starts)
   std::string error;      ///< set when status == kFailed / kCancelled
-  JobResult result;       ///< set when status == kDone
+  JobResult result;       ///< set when status == kDone (shared, unrendered)
 };
 
 struct JobStats {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "model/param.hpp"
 #include "units/units.hpp"
@@ -437,19 +436,23 @@ void BatchPlanInstance::play_block(
 // ---------------------------------------------------------------------------
 
 std::string grid_table(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << grid.x_param << " \\ " << grid.y_param;
-  for (double y : grid.ys) os << '\t' << y;
-  os << '\n';
-  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
-    os << grid.xs[i];
-    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      os << '\t'
-         << units::format_si(grid.cols.power_w[i * grid.ys.size() + j], "W");
-    }
-    os << '\n';
+  // Axis values print as an ostream's default (%.6g) would.
+  std::string out = grid.x_param + " \\ " + grid.y_param;
+  out.reserve(out.size() + (grid.ys.size() + 1) * (grid.xs.size() + 1) * 12);
+  for (double y : grid.ys) {
+    out += '\t';
+    units::append_double(out, y, 6);
   }
-  return os.str();
+  out += '\n';
+  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
+    units::append_double(out, grid.xs[i], 6);
+    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
+      out += '\t';
+      units::append_si(out, grid.cols.power_w[i * grid.ys.size() + j], "W");
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 std::string grid_csv(const ColumnarGrid& grid) {
@@ -473,13 +476,14 @@ std::string grid_csv(const ColumnarGrid& grid) {
 }
 
 std::string sweep_table(const ColumnarSweep& sweep) {
-  std::ostringstream os;
-  os << sweep.param << "\ttotal power\n";
+  std::string out = sweep.param + "\ttotal power\n";
   for (std::size_t i = 0; i < sweep.values.size(); ++i) {
-    os << sweep.values[i] << '\t'
-       << units::format_si(sweep.cols.power_w[i], "W") << '\n';
+    units::append_double(out, sweep.values[i], 6);
+    out += '\t';
+    units::append_si(out, sweep.cols.power_w[i], "W");
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string sweep_csv(const ColumnarSweep& sweep) {

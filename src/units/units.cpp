@@ -1,8 +1,8 @@
 #include "units/units.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
-#include <cstdio>
 
 namespace powerplay::units {
 
@@ -28,37 +28,63 @@ constexpr std::array<Prefix, 11> kPrefixes{{
     {1e-18, "a"},
 }};
 
-}  // namespace
-
-std::string format_si(double raw_si, const std::string& unit,
-                      int significant_digits) {
-  if (raw_si == 0.0) return "0 " + unit;
-  if (!std::isfinite(raw_si)) return std::to_string(raw_si) + " " + unit;
-
-  const double magnitude = std::fabs(raw_si);
-  const Prefix* chosen = &kPrefixes.back();
-  for (const Prefix& p : kPrefixes) {
-    if (magnitude >= p.scale) {
-      chosen = &p;
-      break;
-    }
-  }
-  const double mantissa = raw_si / chosen->scale;
-  // Digits after the decimal point so the total significant digits match.
+/// Append `mantissa` in fixed notation with as many fraction digits as
+/// leave `significant_digits` digits in all (a leading "0." counts
+/// none): printf("%.*f") byte for byte, whatever the length.
+void append_mantissa(std::string& out, double mantissa,
+                     int significant_digits) {
   int integer_digits = 1;
   double m = std::fabs(mantissa);
-  if (m < 1.0) {
-    integer_digits = 0;  // a leading "0." is not a significant digit
-  }
-  while (m >= 10.0) {
+  if (m < 1.0) integer_digits = 0;
+  while (m >= 10.0 && std::isfinite(m)) {
     m /= 10.0;
     ++integer_digits;
   }
   const int frac = std::max(0, significant_digits - integer_digits);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f %s%s", frac, mantissa, chosen->symbol,
-                unit.c_str());
-  return buf;
+  char buf[128];
+  auto r = std::to_chars(buf, buf + sizeof buf, mantissa,
+                         std::chars_format::fixed, frac);
+  if (r.ec == std::errc{}) {
+    out.append(buf, r.ptr);
+    return;
+  }
+  // Hundreds of integer digits (a huge value) or of fraction digits.
+  std::string wide(static_cast<std::size_t>(integer_digits + frac) + 8, '\0');
+  r = std::to_chars(wide.data(), wide.data() + wide.size(), mantissa,
+                    std::chars_format::fixed, frac);
+  out.append(wide.data(), r.ptr);
+}
+
+}  // namespace
+
+void append_si(std::string& out, double raw_si, std::string_view unit,
+               int significant_digits) {
+  const Prefix* chosen = nullptr;  // none for 0, inf and nan
+  if (raw_si == 0.0) {
+    out += '0';
+  } else if (!std::isfinite(raw_si)) {
+    append_mantissa(out, raw_si, significant_digits);
+  } else {
+    const double magnitude = std::fabs(raw_si);
+    chosen = &kPrefixes.back();
+    for (const Prefix& p : kPrefixes) {
+      if (magnitude >= p.scale) {
+        chosen = &p;
+        break;
+      }
+    }
+    append_mantissa(out, raw_si / chosen->scale, significant_digits);
+  }
+  out += ' ';
+  if (chosen != nullptr) out += chosen->symbol;
+  out += unit;
+}
+
+std::string format_si(double raw_si, const std::string& unit,
+                      int significant_digits) {
+  std::string out;
+  append_si(out, raw_si, unit, significant_digits);
+  return out;
 }
 
 std::string format_area(double si_m2, int significant_digits) {
@@ -81,18 +107,11 @@ std::string format_area(double si_m2, int significant_digits) {
       break;
     }
   }
-  const double mantissa = si_m2 / chosen->scale;
-  int integer_digits = 1;
-  double m = std::fabs(mantissa);
-  if (m < 1.0) integer_digits = 0;
-  while (m >= 10.0) {
-    m /= 10.0;
-    ++integer_digits;
-  }
-  const int frac = std::max(0, significant_digits - integer_digits);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f %s", frac, mantissa, chosen->symbol);
-  return buf;
+  std::string out;
+  append_mantissa(out, si_m2 / chosen->scale, significant_digits);
+  out += ' ';
+  out += chosen->symbol;
+  return out;
 }
 
 void append_double(std::string& out, double v, int precision) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <compare>
 #include <string>
+#include <string_view>
 
 namespace powerplay::units {
 
@@ -191,8 +192,13 @@ constexpr Voltage kThermalVoltage300K{0.02585};
 // Formatting: engineering notation with SI prefixes ("64.38 uW").
 // ---------------------------------------------------------------------------
 
-/// Format a raw SI value with an SI prefix and the given unit symbol,
-/// e.g. format_si(6.438e-5, "W") == "64.38 uW".
+/// Append a raw SI value with an SI prefix and the given unit symbol,
+/// e.g. "64.38 uW" for (6.438e-5, "W"): the mantissa in [1, 1000) with
+/// `significant_digits` digits, as printf("%.*f") writes it.
+void append_si(std::string& out, double raw_si, std::string_view unit,
+               int significant_digits = 4);
+
+/// append_si into a fresh string: format_si(6.438e-5, "W") == "64.38 uW".
 std::string format_si(double raw_si, const std::string& unit,
                       int significant_digits = 4);
 

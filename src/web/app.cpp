@@ -1,6 +1,7 @@
 #include "web/app.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -429,11 +430,19 @@ Response PowerPlayApp::page_healthz() {
     os << "response_cache_entries: " << rc.entries << "\n";
     os << "response_cache_bytes: " << rc.bytes << "\n";
   }
+  // The Play memo (no production route uses it; the lines stay for
+  // readers that parse them by name), then the plan cache that every
+  // Play and sweep probes.
   const engine::CacheStats cache = engine_.cache().stats();
   os << "cache_hits: " << cache.hits << "\n";
   os << "cache_misses: " << cache.misses << "\n";
   os << "cache_evictions: " << cache.evictions << "\n";
   os << "cache_size: " << cache.size << "/" << cache.capacity << "\n";
+  const engine::CacheStats plans = engine_.plans().stats();
+  os << "plan_cache_hits: " << plans.hits << "\n";
+  os << "plan_cache_misses: " << plans.misses << "\n";
+  os << "plan_cache_evictions: " << plans.evictions << "\n";
+  os << "plan_cache_size: " << plans.size << "/" << plans.capacity << "\n";
   const engine::ExecutorStats exec = engine_.executor().stats();
   os << "engine_threads: " << exec.thread_count << "\n";
   os << "engine_tasks_executed: " << exec.executed << "\n";
@@ -942,6 +951,9 @@ Response PowerPlayApp::do_design_add(const Params& q) {
       row.params.set(spec.name, parse_double(value, spec.name));
     }
   }
+  // Render (which presses Play) before saving: an edit whose Play fails
+  // answers 400 and is not committed.
+  Response page = render_design(user, design, "added row '" + row_name + "'");
   store_.save_design(design);
 
   UserProfile profile = store_.ensure_user(user);
@@ -950,7 +962,7 @@ Response PowerPlayApp::do_design_add(const Params& q) {
     profile.designs.push_back(design_name);
     store_.save_user(profile);
   }
-  return render_design(user, design, "added row '" + row_name + "'");
+  return page;
 }
 
 Response PowerPlayApp::page_design(const Params& q) {
@@ -1023,8 +1035,10 @@ Response PowerPlayApp::do_design_play(const Params& q) {
       design.globals().set_formula(param, value);
     }
   }
+  // Play (inside render) before saving: a failed Play commits nothing.
+  Response page = render_design(user, design, "recomputed");
   store_.save_design(design);
-  return render_design(user, design, "recomputed");
+  return page;
 }
 
 Response PowerPlayApp::do_design_setrow(const Params& q) {
@@ -1044,9 +1058,11 @@ Response PowerPlayApp::do_design_setrow(const Params& q) {
   } catch (const HttpError&) {
     row->params.set_formula(param, value);
   }
+  // Play (inside render) before saving: a failed Play commits nothing.
+  Response page = render_design(
+      user, design, "set " + row_name + "." + param + " = " + value);
   store_.save_design(design);
-  return render_design(user, design,
-                       "set " + row_name + "." + param + " = " + value);
+  return page;
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,6 +1076,54 @@ struct SweepAxis {
   std::string param;
   std::vector<double> values;
 };
+
+/// A finished job's typed result and a renderer for each format it
+/// offers (null: not offered).  The runner only builds it; the HTTP
+/// worker serving a read renders the one format asked for, each time.
+/// `streamed_bytes`, when set, counts the CSV and JSON bytes rendered.
+template <typename T>
+class TypedResult final : public engine::JobResult::Body {
+ public:
+  using Render = std::string (*)(const T&);
+
+  TypedResult(T value, Render table, Render csv, Render json,
+              std::atomic<std::uint64_t>* streamed_bytes)
+      : value_(std::move(value)),
+        renders_{table, csv, json},
+        streamed_bytes_(streamed_bytes) {}
+
+  bool has(engine::JobFormat format) const override {
+    return render_for(format) != nullptr;
+  }
+  std::string render(engine::JobFormat format) const override {
+    const Render render = render_for(format);
+    if (render == nullptr) return {};
+    std::string out = render(value_);
+    if (streamed_bytes_ != nullptr && format != engine::JobFormat::kTable) {
+      streamed_bytes_->fetch_add(out.size());
+    }
+    return out;
+  }
+
+ private:
+  Render render_for(engine::JobFormat format) const {
+    return renders_[static_cast<std::size_t>(format)];
+  }
+
+  const T value_;
+  const std::array<Render, 3> renders_;
+  std::atomic<std::uint64_t>* const streamed_bytes_;
+};
+
+template <typename T>
+engine::JobResult typed_result(
+    T value, typename TypedResult<T>::Render table,
+    typename TypedResult<T>::Render csv,
+    typename TypedResult<T>::Render json = nullptr,
+    std::atomic<std::uint64_t>* streamed_bytes = nullptr) {
+  return engine::JobResult(std::make_shared<const TypedResult<T>>(
+      std::move(value), table, csv, json, streamed_bytes));
+}
 
 /// An axis point count: sheet::axis_points over the parsed text.
 int parse_axis_points(const std::string& text, const std::string& what) {
@@ -1119,14 +1183,12 @@ Response PowerPlayApp::do_design_sweep(const Params& q) {
       // Lane-batched columnar sweep: workers stream block metrics into
       // shared column arrays (no per-point PlayResults), progress and
       // cancellation/deadline checks fire once per lane block, and the
-      // renderers serialize straight off the columns.
-      const sheet::ColumnarGrid g = engine_.sweep_grid_columnar(
-          snapshot, x.param, x.values, y.param, y.values, progress);
-      engine::JobResult result{sheet::grid_table(g), sheet::grid_csv(g),
-                               sheet::grid_json(g)};
-      columnar_bytes_streamed_total_.fetch_add(
-          result.csv.size() + result.json.size());
-      return result;
+      // renderers serialize straight off the columns on read.
+      return typed_result(
+          engine_.sweep_grid_columnar(snapshot, x.param, x.values, y.param,
+                                      y.values, progress),
+          sheet::grid_table, sheet::grid_csv, sheet::grid_json,
+          &columnar_bytes_streamed_total_);
     };
   } else {
     if (row.empty()) {
@@ -1141,9 +1203,9 @@ Response PowerPlayApp::do_design_sweep(const Params& q) {
     describe << " (" << x.values.size() << " points)";
     work = [this, snapshot = std::move(snapshot), row,
             x](const engine::JobManager::Progress& progress) {
-      const sheet::ColumnarSweep s = engine_.sweep_columnar(
-          snapshot, row, x.param, x.values, progress);
-      return engine::JobResult{sheet::sweep_table(s), sheet::sweep_csv(s)};
+      return typed_result(
+          engine_.sweep_columnar(snapshot, row, x.param, x.values, progress),
+          sheet::sweep_table, sheet::sweep_csv);
     };
   }
 
@@ -1197,6 +1259,12 @@ std::vector<explore::ParetoAxis> parse_explore_axes(const std::string& text) {
   return out;
 }
 
+/// An inverse job's answer with the question it answers (both render).
+struct InverseAnswer {
+  explore::InverseSpec spec;
+  explore::InverseResult result;
+};
+
 std::size_t parse_sample_count(const Params& q, std::size_t fallback) {
   const std::uint64_t v = parse_u64_param(
       get_or(q, "samples", std::to_string(fallback)), "samples");
@@ -1241,11 +1309,11 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
     for (const std::string& n : names) describe << ' ' << n;
     work = [this, snapshot = std::move(snapshot), spec = std::move(spec)](
                const engine::JobManager::Progress& progress) {
-      const explore::McResult r =
+      explore::McResult r =
           explore::run_monte_carlo(engine_, snapshot, spec, progress);
       mc_points_total_.fetch_add(r.samples);
-      return engine::JobResult{explore::mc_table(r), explore::mc_csv(r),
-                               explore::mc_json(r)};
+      return typed_result(std::move(r), explore::mc_table, explore::mc_csv,
+                          explore::mc_json);
     };
   } else if (mode == "pareto") {
     explore::ParetoSpec spec;
@@ -1276,11 +1344,9 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
     }
     work = [this, snapshot = std::move(snapshot), spec = std::move(spec)](
                const engine::JobManager::Progress& progress) {
-      const explore::ParetoResult r =
-          explore::run_pareto(engine_, snapshot, spec, progress);
-      return engine::JobResult{explore::pareto_table(r),
-                               explore::pareto_csv(r),
-                               explore::pareto_json(r)};
+      return typed_result(
+          explore::run_pareto(engine_, snapshot, spec, progress),
+          explore::pareto_table, explore::pareto_csv, explore::pareto_json);
     };
   } else if (mode == "inverse") {
     explore::InverseSpec spec;
@@ -1313,10 +1379,16 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
              << (spec.upper_bound ? " <= " : " >= ") << spec.limit;
     work = [this, snapshot = std::move(snapshot), spec = std::move(spec)](
                const engine::JobManager::Progress& progress) {
-      const explore::InverseResult r =
-          explore::solve_inverse(engine_, snapshot, spec, progress);
-      return engine::JobResult{explore::inverse_table(spec, r),
-                               explore::inverse_csv(spec, r)};
+      return typed_result(
+          InverseAnswer{spec,
+                        explore::solve_inverse(engine_, snapshot, spec,
+                                               progress)},
+          [](const InverseAnswer& a) {
+            return explore::inverse_table(a.spec, a.result);
+          },
+          [](const InverseAnswer& a) {
+            return explore::inverse_csv(a.spec, a.result);
+          });
     };
   } else if (mode == "fit") {
     explore::FitSpec spec;
@@ -1356,8 +1428,8 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
         model_revision_.fetch_add(1);
       }
       surrogate_fits_total_.fetch_add(1);
-      return engine::JobResult{explore::fit_table(fit),
-                               explore::fit_csv(fit)};
+      return typed_result(std::move(fit), explore::fit_table,
+                          explore::fit_csv);
     };
   } else {
     throw HttpError("unknown explore mode '" + mode +
@@ -1424,8 +1496,8 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-/// One job as a JSON object, `result` included (from JobResult::json)
-/// when the job is done and produced one.
+/// One job as a JSON object, `result` included (rendered now) when the
+/// job is done and its result has a JSON form.
 std::string job_json(const engine::JobSnapshot& snap) {
   std::ostringstream os;
   os << "{\"id\":" << snap.id << ",\"user\":\"" << json_escape(snap.user)
@@ -1437,12 +1509,14 @@ std::string job_json(const engine::JobSnapshot& snap) {
       snap.status == engine::JobStatus::kCancelled) {
     os << ",\"error\":\"" << json_escape(snap.error) << "\"";
   }
+  std::string out = os.str();
   if (snap.status == engine::JobStatus::kDone &&
-      !snap.result.json.empty()) {
-    os << ",\"result\":" << snap.result.json;
+      snap.result.has(engine::JobFormat::kJson)) {
+    out += ",\"result\":";
+    out += snap.result.render(engine::JobFormat::kJson);
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -1462,7 +1536,7 @@ Response PowerPlayApp::page_job(const Params& q) const {
     }
     Response r;
     r.content_type = "text/csv";
-    r.body = snap->result.csv;
+    r.body = snap->result.render(engine::JobFormat::kCsv);
     return r;
   }
   if (get_or(q, "format") == "json") {
@@ -1482,10 +1556,12 @@ Response PowerPlayApp::page_job(const Params& q) const {
       snap->status == engine::JobStatus::kCancelled) {
     os << "error: " << snap->error << "\n";
   }
+  std::string body = os.str();
   if (snap->status == engine::JobStatus::kDone) {
-    os << "\n" << snap->result.table;
+    body += '\n';
+    body += snap->result.render(engine::JobFormat::kTable);
   }
-  return Response::ok_text(os.str());
+  return Response::ok_text(std::move(body));
 }
 
 Response PowerPlayApp::do_job_cancel(const Params& q) {

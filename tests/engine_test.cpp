@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -290,12 +292,30 @@ TEST(GridCsv, LongFormMachineReadable) {
 
 // --- JobManager -------------------------------------------------------------
 
+/// A typed result offering a table and a CSV (no JSON) that counts how
+/// often it is rendered.
+class CountingResult final : public JobResult::Body {
+ public:
+  bool has(JobFormat format) const override {
+    return format != JobFormat::kJson;
+  }
+  std::string render(JobFormat format) const override {
+    renders_.fetch_add(1);
+    return format == JobFormat::kTable ? "table-text" : "csv-text";
+  }
+  [[nodiscard]] int renders() const { return renders_.load(); }
+
+ private:
+  mutable std::atomic<int> renders_{0};
+};
+
 TEST(JobManager, LifecycleAndSnapshot) {
   JobManager jobs(1, 16);
+  const auto body = std::make_shared<const CountingResult>();
   const std::uint64_t id = jobs.submit(
-      "dl", "demo", [](const JobManager::Progress& progress) {
+      "dl", "demo", [body](const JobManager::Progress& progress) {
         progress(3, 3);
-        return JobResult{"table-text", "csv-text"};
+        return JobResult(body);
       });
   jobs.wait_idle();
   const auto snap = jobs.get(id);
@@ -303,8 +323,6 @@ TEST(JobManager, LifecycleAndSnapshot) {
   EXPECT_EQ(snap->status, JobStatus::kDone);
   EXPECT_EQ(snap->done, 3u);
   EXPECT_EQ(snap->total, 3u);
-  EXPECT_EQ(snap->result.table, "table-text");
-  EXPECT_EQ(snap->result.csv, "csv-text");
   EXPECT_EQ(snap->user, "dl");
 
   const auto listed = jobs.list("dl");
@@ -312,6 +330,31 @@ TEST(JobManager, LifecycleAndSnapshot) {
   EXPECT_EQ(listed[0].id, id);
   EXPECT_TRUE(jobs.list("nobody").empty());
   EXPECT_FALSE(jobs.get(id + 999).has_value());
+
+  // Every snapshot shares the job's one result; none rendered it.
+  EXPECT_EQ(snap->result.body(), body.get());
+  EXPECT_EQ(listed[0].result.body(), body.get());
+  EXPECT_EQ(body->renders(), 0);
+  // A reader renders the format it asks for, and only that one.
+  EXPECT_EQ(snap->result.render(JobFormat::kTable), "table-text");
+  EXPECT_EQ(body->renders(), 1);
+  EXPECT_EQ(snap->result.render(JobFormat::kCsv), "csv-text");
+  EXPECT_FALSE(snap->result.has(JobFormat::kJson));
+  EXPECT_EQ(snap->result.render(JobFormat::kJson), "");
+  EXPECT_EQ(body->renders(), 2);
+}
+
+TEST(JobResult, PreRenderedTextServesEachFormatAsGiven) {
+  const JobResult none;
+  EXPECT_FALSE(none.has(JobFormat::kTable));
+  EXPECT_EQ(none.render(JobFormat::kCsv), "");
+  const JobResult two{"t", "c"};
+  EXPECT_EQ(two.render(JobFormat::kTable), "t");
+  EXPECT_EQ(two.render(JobFormat::kCsv), "c");
+  EXPECT_FALSE(two.has(JobFormat::kJson));
+  const JobResult three{"t", "c", "{}"};
+  EXPECT_TRUE(three.has(JobFormat::kJson));
+  EXPECT_EQ(three.render(JobFormat::kJson), "{}");
 }
 
 TEST(JobManager, ProgressNeverGoesBackwardsUnderOutOfOrderReports) {

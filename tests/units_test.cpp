@@ -2,13 +2,16 @@
 // the library rides on these operators, so their algebra must be exact.
 #include "units/units.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,7 +147,7 @@ TEST(UnitsFormat, AppendDoubleMatchesOstreamOracle) {
     values.push_back(static_cast<double>(integer(rng)));
   }
   ASSERT_GE(values.size(), 10000u);
-  for (const int precision : {9, 17}) {
+  for (const int precision : {6, 9, 17}) {
     for (const double v : values) {
       std::ostringstream oracle;
       oracle.precision(precision);
@@ -156,6 +159,118 @@ TEST(UnitsFormat, AppendDoubleMatchesOstreamOracle) {
           << std::bit_cast<std::uint64_t>(v);
     }
   }
+}
+
+/// The snprintf("%.*f") formatter format_si and format_area were built
+/// on before append_si: the oracle the to_chars version must match.
+std::string snprintf_mantissa(double mantissa, int significant_digits,
+                              const char* suffix) {
+  int integer_digits = 1;
+  double m = std::fabs(mantissa);
+  if (m < 1.0) integer_digits = 0;
+  while (m >= 10.0) {
+    m /= 10.0;
+    ++integer_digits;
+  }
+  const int frac = std::max(0, significant_digits - integer_digits);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f %s", frac, mantissa, suffix);
+  return buf;
+}
+
+std::string snprintf_si(double raw_si, const std::string& unit, int digits) {
+  if (raw_si == 0.0) return "0 " + unit;
+  if (!std::isfinite(raw_si)) return std::to_string(raw_si) + " " + unit;
+  constexpr std::pair<double, const char*> kPrefixes[] = {
+      {1e12, "T"},  {1e9, "G"},   {1e6, "M"},   {1e3, "k"},
+      {1e0, ""},    {1e-3, "m"},  {1e-6, "u"},  {1e-9, "n"},
+      {1e-12, "p"}, {1e-15, "f"}, {1e-18, "a"}};
+  const auto* chosen = &kPrefixes[10];
+  for (const auto& p : kPrefixes) {
+    if (std::fabs(raw_si) >= p.first) {
+      chosen = &p;
+      break;
+    }
+  }
+  return snprintf_mantissa(raw_si / chosen->first, digits,
+                           (chosen->second + unit).c_str());
+}
+
+std::string snprintf_area(double si_m2, int digits) {
+  if (si_m2 == 0.0) return "0 m^2";
+  constexpr std::pair<double, const char*> kUnits[] = {
+      {1.0, "m^2"}, {1e-6, "mm^2"}, {1e-12, "um^2"}, {1e-18, "nm^2"}};
+  const auto* chosen = &kUnits[3];
+  for (const auto& u : kUnits) {
+    if (std::fabs(si_m2) >= u.first) {
+      chosen = &u;
+      break;
+    }
+  }
+  return snprintf_mantissa(si_m2 / chosen->first, digits, chosen->second);
+}
+
+TEST(UnitsFormat, AppendSiMatchesSnprintfOracle) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,   -0.0,  kInf,         -kInf,
+                                kNaN,  -kNaN, kDenorm,      -kDenorm,
+                                1e-310, std::numeric_limits<double>::min()};
+  // Every prefix boundary and the rounding carries just below it: the
+  // scale itself, one ulp either side, and mantissas of 9.9995, 99.995
+  // and 999.95 (which round up into the next decade).
+  for (int e = -24; e <= 15; ++e) {
+    const double scale = std::pow(10.0, e);
+    for (const double k : {1.0, 9.9995, 99.995, 999.95, 999.949999, 999.5,
+                           0.5, 1.00005, 9.99949, 12.345, 123.45}) {
+      const double v = k * scale;
+      for (const double w : {v, std::nextafter(v, 0.0),
+                             std::nextafter(v, kInf)}) {
+        values.push_back(w);
+        values.push_back(-w);
+      }
+    }
+  }
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-330, 45);
+  std::uniform_int_distribution<int> cents(0, 99999);
+  for (int i = 0; i < 6000; ++i) {
+    // Decimal magnitudes across the prefixes, denormals included.
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+    // Values on a 5-digit decimal grid, where ties and carries live.
+    values.push_back(cents(rng) * std::pow(10.0, exponent(rng) / 8 - 5));
+  }
+  ASSERT_GE(values.size(), 10000u);
+  for (const int digits : {4, 1, 3, 6}) {
+    for (const double v : values) {
+      std::string got = "x";
+      append_si(got, v, "W", digits);
+      ASSERT_EQ(got, "x" + snprintf_si(v, "W", digits))
+          << "digits " << digits << ", bits 0x" << std::hex
+          << std::bit_cast<std::uint64_t>(v);
+      ASSERT_EQ(format_si(v, "Hz", digits), snprintf_si(v, "Hz", digits));
+      if (!std::isinf(v)) {  // the snprintf area formatter never returned
+        ASSERT_EQ(format_area(v, digits), snprintf_area(v, digits))
+            << "digits " << digits << ", bits 0x" << std::hex
+            << std::bit_cast<std::uint64_t>(v);
+      }
+    }
+  }
+}
+
+// Past the oracle: a value too large for its 64-byte buffer is written
+// whole, and an infinite area no longer spins in the digit count.
+TEST(UnitsFormat, HugeValuesAreNotTruncated) {
+  const std::string big = format_si(1e300, "W");
+  EXPECT_EQ(big.size(), 289u + 3u);
+  EXPECT_EQ(big.substr(0, 3), "100");
+  EXPECT_EQ(big.substr(big.size() - 3), " TW");
+  EXPECT_EQ(format_si(0.5, "W", 200), "500." + std::string(197, '0') + " mW");
+  EXPECT_EQ(format_area(std::numeric_limits<double>::infinity()), "inf m^2");
+  EXPECT_EQ(format_area(-std::numeric_limits<double>::infinity()),
+            "-inf m^2");
 }
 
 TEST(Units, ThermalVoltageConstant) {

@@ -496,8 +496,9 @@ TEST_F(AppFixture, PlayErrorsNameTheRightDesignAfterARename) {
     EXPECT_EQ(copied.body, play_error_reply(copy));
     EXPECT_NE(copied.body.find("'" + copy_name + "'"), std::string::npos)
         << copied.body;
+    // The failed edit was not committed: the stored sheet still plays.
     EXPECT_EQ(get("/design/csv?user=dl&name=Converter_Board").body,
-              play_error_reply(local));
+              sheet::to_csv(converter_board(reg).play()));
   };
 
   // A converter at 50% efficiency feeding itself never converges.
@@ -526,6 +527,93 @@ TEST_F(AppFixture, PlayErrorsNameTheRightDesignAfterARename) {
                                              {"param", "p_load"},
                                              {"value", "rowpower(\"Nope\")"}}),
                      "Missing_Row_Copy");
+}
+
+/// A /healthz counter by name.
+std::uint64_t healthz_counter(const std::string& body,
+                              const std::string& name) {
+  const auto at = body.find("\n" + name + ": ");
+  EXPECT_NE(at, std::string::npos) << name;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(body.substr(at + name.size() + 3));
+}
+
+// An edit whose Play fails answers 400 and commits nothing: the store
+// journals no record, and the CSV export is the sheet from before it.
+TEST_F(AppFixture, FailedPlayDoesNotCommitTheEdit) {
+  const model::ModelRegistry& reg = app->registry();
+  app->store().save_design(converter_board(reg));
+  const std::string before = sheet::to_csv(converter_board(reg).play());
+  const auto journal_appends = [this] {
+    return healthz_counter(get("/healthz").body, "journal_appends");
+  };
+  ASSERT_EQ(get("/menu?user=dl").status, 200);  // the profile commit
+  const std::uint64_t appends = journal_appends();
+  const auto expect_uncommitted = [&](const Response& reply) {
+    EXPECT_EQ(reply.status, 400) << reply.body;
+    EXPECT_EQ(get("/design/csv?user=dl&name=Converter_Board").body, before);
+    EXPECT_EQ(journal_appends(), appends);
+  };
+
+  // A converter at 50% efficiency feeding itself never converges.
+  expect_uncommitted(post("/design/play", {{"user", "dl"},
+                                           {"name", "Converter_Board"},
+                                           {"g_eff", "0.5"}}));
+  // A global formula calling an intermodel function.
+  expect_uncommitted(post("/design/play", {{"user", "dl"},
+                                           {"name", "Converter_Board"},
+                                           {"g_budget", "totalpower()"}}));
+  // rowpower of a missing row.
+  expect_uncommitted(post("/design/setrow", {{"user", "dl"},
+                                             {"name", "Converter_Board"},
+                                             {"row", "Conv"},
+                                             {"param", "p_load"},
+                                             {"value", "rowpower(\"Nope\")"}}));
+  // A new row whose efficiency is outside the model's range.
+  expect_uncommitted(post("/design/add", {{"user", "dl"},
+                                          {"model", "dcdc_converter"},
+                                          {"design", "Converter_Board"},
+                                          {"row", "Bad"},
+                                          {"p_efficiency", "2"}}));
+
+  // A good edit still commits.
+  ASSERT_EQ(post("/design/play", {{"user", "dl"},
+                                  {"name", "Converter_Board"},
+                                  {"g_eff", "0.9"}})
+                .status,
+            200);
+  EXPECT_GT(journal_appends(), appends);
+  EXPECT_NE(get("/design/csv?user=dl&name=Converter_Board").body, before);
+}
+
+// /healthz shows the plan cache every Play probes: a first Play of a
+// design compiles (one miss), a re-Play reuses the plan (one hit).
+TEST_F(AppFixture, HealthzCountsPlanCacheHitsAndMisses) {
+  app->store().save_design(studies::make_luminance_impl2(app->registry()));
+  const auto play = [this] {
+    return post("/design/play", {{"user", "dl"}, {"name", "Luminance_2"}})
+        .status;
+  };
+  std::string health = get("/healthz").body;
+  EXPECT_EQ(healthz_counter(health, "plan_cache_misses"), 0u);
+  EXPECT_EQ(healthz_counter(health, "plan_cache_hits"), 0u);
+  EXPECT_NE(health.find("\nplan_cache_size: 0/256\n"), std::string::npos)
+      << health;
+  ASSERT_EQ(play(), 200);
+  health = get("/healthz").body;
+  EXPECT_EQ(healthz_counter(health, "plan_cache_misses"), 1u);
+  EXPECT_EQ(healthz_counter(health, "plan_cache_hits"), 0u);
+  ASSERT_EQ(play(), 200);
+  health = get("/healthz").body;
+  EXPECT_EQ(healthz_counter(health, "plan_cache_misses"), 1u);
+  EXPECT_EQ(healthz_counter(health, "plan_cache_hits"), 1u);
+  EXPECT_EQ(healthz_counter(health, "plan_cache_evictions"), 0u);
+  EXPECT_NE(health.find("\nplan_cache_size: 1/256\n"), std::string::npos)
+      << health;
+  // The Play memo lines stay, and no production Play touches the memo.
+  EXPECT_EQ(healthz_counter(health, "cache_hits"), 0u);
+  EXPECT_EQ(healthz_counter(health, "cache_misses"), 0u);
 }
 
 // Renamed copies share one compiled plan: 300 Luminance_2 copies

@@ -19,6 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include "explore/inverse.hpp"
+#include "explore/mc.hpp"
+#include "explore/pareto.hpp"
+#include "explore/surrogate.hpp"
 #include "sheet/sweep.hpp"
 #include "web/client.hpp"
 #include "web/server.hpp"
@@ -94,7 +98,59 @@ struct ConcurrencyFixture : ::testing::Test {
                               const Params& form) const {
     return http_post_form(server->port(), path, form);
   }
+
+  /// Submit a job and poll it until it is done; returns its id.
+  std::string run_job(const std::string& path, const Params& form) const {
+    const Response submit = post(path, form);
+    EXPECT_EQ(submit.status, 200) << submit.body;
+    const std::string id = submit.body.substr(4, submit.body.find('\n') - 4);
+    for (int i = 0; i < 1000; ++i) {
+      if (get("/job?id=" + id).body.find("status: done") !=
+          std::string::npos) {
+        return id;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ADD_FAILURE() << "job " << id << " never finished";
+    return id;
+  }
+
+  /// The one-register design "D" at the profile defaults (vdd, f).
+  [[nodiscard]] sheet::Design register_design() const {
+    EXPECT_EQ(post("/design/add", {{"user", "dl"},
+                                   {"model", "register"},
+                                   {"design", "D"},
+                                   {"row", "R"},
+                                   {"p_bits", "8"},
+                                   {"p_f", "1000000"}})
+                  .status,
+              200);
+    return sheet::Design(*app->store().load_design("D", app->registry()));
+  }
 };
+
+/// What the three reads of a done job must return, byte for byte:
+/// the table after the poll's header, the CSV body and the JSON
+/// `result` (empty: the reply has no `result`).
+struct Rendered {
+  std::string table;
+  std::string csv;
+  std::string json;
+};
+
+/// The poll's table: everything after the header's blank line.
+std::string poll_table(const std::string& body) {
+  const auto at = body.find("\n\n");
+  return at == std::string::npos ? std::string() : body.substr(at + 2);
+}
+
+/// The JSON reply's `result` value, or "" when it has none.
+std::string json_result(const std::string& body) {
+  const auto at = body.find(",\"result\":");
+  if (at == std::string::npos) return {};
+  EXPECT_EQ(body.substr(body.size() - 2), "}\n");
+  return body.substr(at + 10, body.size() - 2 - at - 10);
+}
 
 // N client threads, each its own user, interleaving per-user mutations
 // (design add/play) with shared reads (library, export API).  Every
@@ -620,6 +676,211 @@ TEST_F(ConcurrencyFixture, HealthzReportsEngineStats) {
         "quarantined_files"}) {
     EXPECT_NE(r.body.find(key), std::string::npos) << key;
   }
+}
+
+// Every job kind keeps its typed result and renders on read: each of
+// the three reads equals the renderers run over the engine's own
+// result for the same spec, and a kind with no JSON form still leaves
+// `result` out of the JSON reply.
+TEST_F(ConcurrencyFixture, EveryJobKindRendersOnReadByteForByte) {
+  const sheet::Design d = register_design();
+  engine::EvalEngine& engine = app->engine();
+  const auto expect_reads = [this](const std::string& id,
+                                   const Rendered& want) {
+    SCOPED_TRACE("job " + id);
+    const Response poll = get("/job?id=" + id);
+    ASSERT_NE(poll.body.find("status: done"), std::string::npos);
+    EXPECT_EQ(poll_table(poll.body), want.table);
+    const Response csv = get("/job?id=" + id + "&format=csv");
+    EXPECT_EQ(csv.status, 200);
+    EXPECT_EQ(csv.body, want.csv);
+    const Response json = get("/job?id=" + id + "&format=json");
+    EXPECT_EQ(json.status, 200);
+    EXPECT_EQ(json_result(json.body), want.json);
+    if (want.json.empty()) {
+      EXPECT_EQ(json.body.find("\"result\""), std::string::npos)
+          << json.body;
+    }
+  };
+
+  const std::vector<double> xs = sheet::linspace(1.0, 3.0, 8);
+  const std::vector<double> ys = sheet::linspace(1e6, 4e6, 8);
+  const sheet::ColumnarGrid grid =
+      engine.sweep_grid_columnar(d, "vdd", xs, "f", ys);
+  expect_reads(run_job("/design/sweep", {{"user", "dl"},
+                                         {"name", "D"},
+                                         {"x_param", "vdd"},
+                                         {"x_from", "1"},
+                                         {"x_to", "3"},
+                                         {"x_points", "8"},
+                                         {"y_param", "f"},
+                                         {"y_from", "1e6"},
+                                         {"y_to", "4e6"},
+                                         {"y_points", "8"}}),
+               {sheet::grid_table(grid), sheet::grid_csv(grid),
+                sheet::grid_json(grid)});
+
+  const sheet::ColumnarSweep global =
+      engine.sweep_columnar(d, "", "vdd", xs);
+  expect_reads(run_job("/design/sweep", {{"user", "dl"},
+                                         {"name", "D"},
+                                         {"x_param", "vdd"},
+                                         {"x_from", "1"},
+                                         {"x_to", "3"},
+                                         {"x_points", "8"}}),
+               {sheet::sweep_table(global), sheet::sweep_csv(global), ""});
+
+  const std::vector<double> bits = sheet::linspace(4, 32, 8);
+  const sheet::ColumnarSweep row = engine.sweep_columnar(d, "R", "bits", bits);
+  expect_reads(run_job("/design/sweep", {{"user", "dl"},
+                                         {"name", "D"},
+                                         {"row", "R"},
+                                         {"x_param", "bits"},
+                                         {"x_from", "4"},
+                                         {"x_to", "32"},
+                                         {"x_points", "8"}}),
+               {sheet::sweep_table(row), sheet::sweep_csv(row), ""});
+
+  explore::McSpec mc;
+  mc.params = explore::parse_dist_params(
+      "vdd=uniform(1.35,1.65);f=choice(1e6,2e6,4e6)");
+  mc.samples = 200;
+  mc.seed = 3;
+  mc.budget_w = 1e-4;
+  const explore::McResult mc_result = explore::run_monte_carlo(engine, d, mc);
+  expect_reads(
+      run_job("/design/explore",
+              {{"user", "dl"},
+               {"name", "D"},
+               {"mode", "mc"},
+               {"params", "vdd=uniform(1.35,1.65);f=choice(1e6,2e6,4e6)"},
+               {"samples", "200"},
+               {"seed", "3"},
+               {"budget", "1e-4"}}),
+      {explore::mc_table(mc_result), explore::mc_csv(mc_result),
+       explore::mc_json(mc_result)});
+
+  explore::ParetoSpec pareto;
+  pareto.axes = {{"vdd", sheet::linspace(1.2, 1.8, 3)},
+                 {"f", sheet::linspace(1e6, 2e6, 2)}};
+  pareto.objectives = {explore::parse_objective("power", {"vdd", "f"}),
+                       explore::parse_objective("max:f", {"vdd", "f"})};
+  const explore::ParetoResult front = explore::run_pareto(engine, d, pareto);
+  expect_reads(run_job("/design/explore",
+                       {{"user", "dl"},
+                        {"name", "D"},
+                        {"mode", "pareto"},
+                        {"axes", "vdd=1.2:1.8:3;f=1e6:2e6:2"},
+                        {"objectives", "power,max:f"}}),
+               {explore::pareto_table(front), explore::pareto_csv(front),
+                explore::pareto_json(front)});
+
+  explore::InverseSpec inverse;
+  inverse.param = "vdd";
+  inverse.lo = 1.2;
+  inverse.hi = 1.8;
+  inverse.limit = 1e-5;
+  const explore::InverseResult answer =
+      explore::solve_inverse(engine, d, inverse);
+  expect_reads(run_job("/design/explore", {{"user", "dl"},
+                                           {"name", "D"},
+                                           {"mode", "inverse"},
+                                           {"param", "vdd"},
+                                           {"lo", "1.2"},
+                                           {"hi", "1.8"},
+                                           {"limit", "1e-5"}}),
+               {explore::inverse_table(inverse, answer),
+                explore::inverse_csv(inverse, answer), ""});
+
+  explore::FitSpec fit;
+  fit.model_name = "d_power";
+  fit.params = explore::parse_dist_params("vdd=uniform(1.2,1.8)");
+  fit.samples = 64;
+  const explore::FitResult fitted = explore::fit_surrogate(engine, d, fit);
+  expect_reads(run_job("/design/explore",
+                       {{"user", "dl"},
+                        {"name", "D"},
+                        {"mode", "fit"},
+                        {"model", "d_power"},
+                        {"params", "vdd=uniform(1.2,1.8)"},
+                        {"samples", "64"}}),
+               {explore::fit_table(fitted), explore::fit_csv(fitted), ""});
+}
+
+// A done grid job holds its columns, not rendered text: a get() hands
+// out the shared result without rendering or copying bytes, and grid
+// CSV/JSON bytes count as streamed when a reader renders them.
+TEST_F(ConcurrencyFixture, DoneGridJobIsSharedAndRenderedOnlyOnRead) {
+  (void)register_design();
+  const std::string id = run_job("/design/sweep", {{"user", "dl"},
+                                                   {"name", "D"},
+                                                   {"x_param", "vdd"},
+                                                   {"x_from", "1"},
+                                                   {"x_to", "3"},
+                                                   {"x_points", "64"},
+                                                   {"y_param", "f"},
+                                                   {"y_from", "1e6"},
+                                                   {"y_to", "4e6"},
+                                                   {"y_points", "64"}});
+  const auto streamed = [this] {
+    const std::string body = get("/healthz").body;
+    const std::string key = "columnar_bytes_streamed_total: ";
+    const auto at = body.find(key);
+    EXPECT_NE(at, std::string::npos);
+    return std::stoull(body.substr(at + key.size()));
+  };
+  const std::uint64_t before = streamed();
+  const auto first = app->jobs().get(std::stoull(id));
+  const auto second = app->jobs().get(std::stoull(id));
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  ASSERT_NE(first->result.body(), nullptr);
+  EXPECT_EQ(first->result.body(), second->result.body());
+  EXPECT_EQ(streamed(), before);  // no get rendered anything
+
+  const std::string csv = get("/job?id=" + id + "&format=csv").body;
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 64 * 64 + 1);
+  EXPECT_EQ(streamed(), before + csv.size());
+  (void)get("/job?id=" + id);  // the table is not CSV or JSON
+  EXPECT_EQ(streamed(), before + csv.size());
+}
+
+// Eight readers render all three formats of one done job at once (the
+// renders run on the HTTP workers): every reply is whole and equal.
+TEST_F(ConcurrencyFixture, ConcurrentReadersOfOneDoneJob) {
+  (void)register_design();
+  const std::string id = run_job("/design/sweep", {{"user", "dl"},
+                                                   {"name", "D"},
+                                                   {"x_param", "vdd"},
+                                                   {"x_from", "1"},
+                                                   {"x_to", "3"},
+                                                   {"x_points", "16"},
+                                                   {"y_param", "f"},
+                                                   {"y_from", "1e6"},
+                                                   {"y_to", "4e6"},
+                                                   {"y_points", "16"}});
+  const std::vector<std::string> targets = {
+      "/job?id=" + id, "/job?id=" + id + "&format=csv",
+      "/job?id=" + id + "&format=json"};
+  std::vector<std::string> want;
+  for (const std::string& t : targets) want.push_back(get(t).body);
+  ASSERT_NE(json_result(want[2]), "");
+
+  constexpr int kThreads = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 6; ++round) {
+        for (std::size_t k = 0; k < targets.size(); ++k) {
+          const std::size_t f = (k + static_cast<std::size_t>(t)) % 3;
+          const Response r = get(targets[f]);
+          if (r.status != 200 || r.body != want[f]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Cancel over live HTTP: only the owner may cancel, the terminal
