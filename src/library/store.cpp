@@ -653,11 +653,16 @@ std::optional<UserProfile> LibraryStore::load_user(
   return parse_user_profile(*text);
 }
 
-UserProfile LibraryStore::ensure_user(const std::string& username) {
-  if (auto existing = load_user(username)) return *existing;
+UserProfile default_profile(const std::string& username) {
   UserProfile fresh;
   fresh.username = username;
   fresh.defaults = {{"vdd", 1.5}, {"f", 1.0e6}};
+  return fresh;
+}
+
+UserProfile LibraryStore::ensure_user(const std::string& username) {
+  if (auto existing = load_user(username)) return *existing;
+  UserProfile fresh = default_profile(username);
   save_user(fresh);
   return fresh;
 }

@@ -64,6 +64,10 @@ struct UserProfile {
 /// as the paper itself advises.
 std::string password_digest(const std::string& password);
 
+/// The profile a user has before anything of theirs is saved: the
+/// first-visit defaults (vdd 1.5 V, f 1 MHz), no designs, no password.
+UserProfile default_profile(const std::string& username);
+
 std::string to_text(const UserProfile& profile);
 UserProfile parse_user_profile(const std::string& text);
 
@@ -129,8 +133,7 @@ class LibraryStore {
   void save_user(const UserProfile& profile);
   [[nodiscard]] std::optional<UserProfile> load_user(
       const std::string& username) const;
-  /// Load if present, otherwise create a fresh profile (the first-visit
-  /// identification flow).
+  /// Load if present, otherwise save and return default_profile().
   UserProfile ensure_user(const std::string& username);
   [[nodiscard]] std::vector<std::string> list_users() const;
 

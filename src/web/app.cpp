@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <variant>
 
 #include "engine/fingerprint.hpp"
 #include "explore/inverse.hpp"
@@ -96,54 +98,87 @@ void append_spreadsheet(const sheet::PlayResult& result,
   }
 }
 
-/// GETs whose rendered bytes depend only on library state + the query
-/// string — i.e. safe to cache keyed by (path, canonical query,
-/// revision).  Job and health endpoints change without a store commit,
-/// so they stay uncached.
-bool cacheable_route(const std::string& path) {
-  static const char* const kRoutes[] = {
-      "/",           "/menu",        "/library",     "/model",
-      "/design",     "/design/csv",  "/doc",         "/agent",
-      "/help",       "/newmodel",    "/api/models",  "/api/model",
-      "/api/designs", "/api/design"};
-  for (const char* route : kRoutes) {
-    if (path == route) return true;
-  }
-  return false;
-}
+/// A route's library lock.  kUnlocked skips the session lock too: the
+/// store synchronizes itself, and a /repl/journal long-poll or a /fed/
+/// fan-out may park for seconds, which under the shared library lock
+/// would stall every writer behind an idle peer.
+enum Lock : std::uint8_t { kUnlocked, kShared, kExclusive };
 
-/// The single design a cacheable page's bytes depend on, if any — these
-/// entries get the fingerprint-revalidation fast path when an unrelated
-/// commit bumps the library revision.
-std::string design_dependency(const std::string& path, const Params& q) {
-  if (path == "/design" || path == "/design/csv" || path == "/api/design") {
-    return get_or(q, "name");
-  }
-  return {};
-}
+/// What a replication follower does with a route: serve it, or 307 it
+/// to the primary (always, or only for a surrogate fit, the one explore
+/// mode that commits to the library).
+enum Follower : std::uint8_t { kServe, kRedirect, kRedirectFit };
 
 }  // namespace
 
-// "User identification is necessary to ensure privacy": load (or
-// create) the profile and, when the user set a password, require the
-// matching `pw` field.
-library::UserProfile PowerPlayApp::authorized_user(const Params& q) {
+/// One row of the route table: a (method, path) and everything handle()
+/// enforces for it.
+struct PowerPlayApp::Route {
+  using Page = Response (PowerPlayApp::*)(const Params&);
+  /// A handler that gets the caller's profile, password checked.
+  using UserPage = Response (PowerPlayApp::*)(UserProfile, const Params&);
+
+  std::string_view method;
+  std::string_view path;
+  Lock lock;
+  Follower follower;
+  /// GET rows whose bytes depend only on the library and the query, so
+  /// they are response-cached keyed by (path, canonical query, revision).
+  bool cached;
+  /// The query field naming the one design a cached page depends on
+  /// (empty: none).  Such entries are revalidated by the design's
+  /// fingerprint when an unrelated commit bumps the revision.
+  std::string_view design;
+  std::variant<Page, UserPage> handler;
+};
+
+// clang-format off
+const PowerPlayApp::Route PowerPlayApp::kRoutes[] = {
+  // {method, path, lock, follower, cached, design, handler}
+  {"GET",  "/healthz",        kShared,    kServe,       false,  "",     &PowerPlayApp::page_healthz},
+  {"GET",  "/",               kShared,    kServe,       true,   "",     &PowerPlayApp::page_root},
+  {"GET",  "/menu",           kShared,    kServe,       true,   "",     &PowerPlayApp::page_menu},
+  {"GET",  "/library",        kShared,    kServe,       true,   "",     &PowerPlayApp::page_library},
+  {"GET",  "/model",          kShared,    kServe,       true,   "",     &PowerPlayApp::page_model},
+  {"GET",  "/doc",            kShared,    kServe,       true,   "",     &PowerPlayApp::page_doc},
+  {"GET",  "/agent",          kShared,    kServe,       true,   "",     &PowerPlayApp::page_agent},
+  {"GET",  "/help",           kShared,    kServe,       true,   "",     &PowerPlayApp::page_help},
+  {"GET",  "/design",         kShared,    kServe,       true,   "name", &PowerPlayApp::page_design},
+  {"GET",  "/design/csv",     kShared,    kServe,       true,   "name", &PowerPlayApp::design_csv},
+  {"POST", "/design/add",     kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_add},
+  {"POST", "/design/play",    kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_play},
+  {"POST", "/design/setrow",  kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_setrow},
+  {"POST", "/design/sweep",   kShared,    kServe,       false,  "",     &PowerPlayApp::do_design_sweep},
+  {"POST", "/design/explore", kShared,    kRedirectFit, false,  "",     &PowerPlayApp::do_design_explore},
+  {"GET",  "/job",            kShared,    kServe,       false,  "",     &PowerPlayApp::page_job},
+  {"GET",  "/jobs",           kShared,    kServe,       false,  "",     &PowerPlayApp::page_jobs},
+  {"POST", "/job/cancel",     kShared,    kServe,       false,  "",     &PowerPlayApp::do_job_cancel},
+  {"GET",  "/newmodel",       kShared,    kServe,       true,   "",     &PowerPlayApp::page_new_model},
+  {"POST", "/newmodel",       kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_new_model},
+  {"POST", "/setpw",          kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_set_password},
+  {"GET",  "/api/models",     kShared,    kServe,       true,   "",     &PowerPlayApp::api_models},
+  {"GET",  "/api/model",      kShared,    kServe,       true,   "",     &PowerPlayApp::api_model},
+  {"GET",  "/api/designs",    kShared,    kServe,       true,   "",     &PowerPlayApp::api_designs},
+  {"GET",  "/api/design",     kShared,    kServe,       true,   "name", &PowerPlayApp::api_design},
+  {"GET",  "/repl/snapshot",  kUnlocked,  kServe,       false,  "",     &PowerPlayApp::repl_snapshot},
+  {"GET",  "/repl/journal",   kUnlocked,  kServe,       false,  "",     &PowerPlayApp::repl_journal},
+  {"POST", "/repl/promote",   kUnlocked,  kServe,       false,  "",     &PowerPlayApp::do_repl_promote},
+  {"GET",  "/fed/models",     kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_models},
+  {"GET",  "/fed/model",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_model},
+  {"GET",  "/fed/hosts",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_hosts_page},
+  {"POST", "/fed/hosts",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::do_fed_hosts},
+};
+// clang-format on
+
+// "User identification is necessary to ensure privacy": load the
+// profile (a first visit gets the default one, unsaved) and, when the
+// user set a password, require the matching `pw` field.  Read-only on
+// both roles: only the handlers that write a profile save it.
+UserProfile PowerPlayApp::authorized_user(const Params& q) const {
   const std::string user = need(q, "user");
-  library::validate_store_name(user);
-  library::UserProfile profile;
-  if (role_.load() == ReplRole::kFollower) {
-    // A follower never commits: an unknown user gets a transient default
-    // profile (same shape ensure_user would persist) so read-only pages
-    // render; anything that would save it redirects to the primary.
-    if (auto existing = store_.load_user(user)) {
-      profile = *existing;
-    } else {
-      profile.username = user;
-      profile.defaults = {{"vdd", 1.5}, {"f", 1.0e6}};
-    }
-  } else {
-    profile = store_.ensure_user(user);
-  }
+  std::optional<UserProfile> stored = store_.load_user(user);
+  UserProfile profile =
+      stored ? std::move(*stored) : library::default_profile(user);
   if (profile.has_password() &&
       !profile.check_password(get_or(q, "pw"))) {
     throw AccessDenied("wrong or missing password for user '" + user + "'");
@@ -184,67 +219,35 @@ void PowerPlayApp::shutdown() {
 }
 
 Response PowerPlayApp::handle(const Request& request) {
-  const Target target = request.parsed_target();
-  const Params q = request.all_params();
+  Target target = request.parsed_target();
+  const Params q = request.all_params(std::move(target.query));
   try {
-    // Replication endpoints bypass both shards: the store has its own
-    // internal synchronization, and the /repl/journal long-poll may
-    // park for seconds — holding the shared library lock (or a session
-    // lock) that long would stall every exclusive writer behind an
-    // idle follower.
-    if (target.path.rfind("/repl/", 0) == 0) {
-      if (target.path == "/repl/snapshot" && request.method == "GET") {
-        return repl_snapshot();
+    const Route* route =
+        std::find_if(std::begin(kRoutes), std::end(kRoutes),
+                     [&](const Route& row) {
+                       return row.path == target.path &&
+                              row.method == request.method;
+                     });
+    if (route == std::end(kRoutes)) {
+      std::string allow;
+      for (const Route& row : kRoutes) {
+        if (row.path != target.path) continue;
+        if (!allow.empty()) allow += ", ";
+        allow += row.method;
       }
-      if (target.path == "/repl/journal" && request.method == "GET") {
-        return repl_journal(q);
-      }
-      if (target.path == "/repl/promote" && request.method == "POST") {
-        return do_repl_promote();
-      }
-      return Response::not_found(target.path);
+      return allow.empty() ? Response::not_found(target.path)
+                           : Response::method_not_allowed(allow);
     }
-
-    // Federation endpoints bypass the shards for the same reason: a
-    // fan-out parks on network I/O up to the caller's deadline, and the
-    // FederatedLibrary has its own lock.  (The mirror sink takes the
-    // exclusive library lock — never while a /fed/ handler holds it.)
-    if (target.path.rfind("/fed/", 0) == 0) {
-      if (federation_ == nullptr) {
-        return Response::bad_request("federation not enabled on this site");
-      }
-      if (target.path == "/fed/models" && request.method == "GET") {
-        return fed_models(q);
-      }
-      if (target.path == "/fed/model" && request.method == "GET") {
-        return fed_model(q);
-      }
-      if (target.path == "/fed/hosts" && request.method == "GET") {
-        return fed_hosts_page();
-      }
-      if (target.path == "/fed/hosts" && request.method == "POST") {
-        return do_fed_hosts(q);
-      }
-      return Response::not_found(target.path);
-    }
-
-    const bool mutates =
-        target.path == "/design/add" || target.path == "/design/play" ||
-        target.path == "/design/setrow" ||
-        (target.path == "/newmodel" && request.method == "POST");
 
     // A follower serves reads (through the response cache, invalidated
     // by applied records via the store revision) but owns no write
-    // authority: mutations go to the primary, method preserved, via
-    // 307 Temporary Redirect.  Explore jobs run anywhere (they only
-    // read a design snapshot) except surrogate fits, which commit the
-    // fitted model to the library.
+    // authority: writes go to the primary, method preserved, via 307.
     if (role_.load() == ReplRole::kFollower &&
-        (mutates || target.path == "/setpw" ||
-         (target.path == "/design/explore" &&
-          get_or(q, "mode") == "fit"))) {
+        (route->follower == kRedirect ||
+         (route->follower == kRedirectFit && get_or(q, "mode") == "fit"))) {
       return redirect_to_primary(request);
     }
+    if (route->lock == kUnlocked) return run(*route, q);
 
     // Shard 1: each user's own requests are serialized (profile and
     // design edits are read-modify-write over their files).  Users hash
@@ -252,25 +255,23 @@ Response PowerPlayApp::handle(const Request& request) {
     // other here, and a request takes exactly one stripe, so striping
     // cannot deadlock.
     std::unique_lock<std::mutex> session_guard;
-    const std::string user = get_or(q, "user");
-    if (!user.empty()) {
+    if (const auto user = q.find("user");
+        user != q.end() && !user->second.empty()) {
       session_guard = std::unique_lock(
-          session_locks_[std::hash<std::string>{}(user) %
+          session_locks_[std::hash<std::string>{}(user->second) %
                          session_locks_.size()]);
     }
 
-    // Shard 2: the shared library.  Only the handful of mutating routes
-    // take it exclusively; everything else reads concurrently.
-    if (mutates) {
+    // Shard 2: the shared library, exclusive for the rows that write it.
+    if (route->lock == kExclusive) {
       std::unique_lock lib(library_mutex_);
-      return dispatch(target.path, request.method, q);
+      return run(*route, q);
     }
     std::shared_lock lib(library_mutex_);
-    if (cache_ != nullptr && request.method == "GET" &&
-        cacheable_route(target.path)) {
-      return serve_cached(request, q);
+    if (route->cached && cache_ != nullptr) {
+      return serve_cached(*route, request, target.path, q);
     }
-    return dispatch(target.path, request.method, q);
+    return run(*route, q);
   } catch (const AccessDenied& e) {
     Response r;
     r.status = 403;
@@ -288,45 +289,22 @@ Response PowerPlayApp::handle(const Request& request) {
   }
 }
 
-Response PowerPlayApp::dispatch(const std::string& path,
-                                const std::string& method, const Params& q) {
-  if (path == "/healthz") return page_healthz();
-  if (path == "/") return page_root();
-  if (path == "/menu") return page_menu(q);
-  if (path == "/library") return page_library(q);
-  if (path == "/model") return page_model(q);
-  if (path == "/design/add") return do_design_add(q);
-  if (path == "/design") return page_design(q);
-  if (path == "/design/play") return do_design_play(q);
-  if (path == "/design/setrow") return do_design_setrow(q);
-  if (path == "/design/sweep") return do_design_sweep(q);
-  if (path == "/design/explore") return do_design_explore(q);
-  if (path == "/design/csv") return design_csv(q);
-  if (path == "/job/cancel") return do_job_cancel(q);
-  if (path == "/job") return page_job(q);
-  if (path == "/jobs") return page_jobs(q);
-  if (path == "/newmodel") {
-    return method == "POST" ? do_new_model(q) : page_new_model(q);
+Response PowerPlayApp::run(const Route& route, const Params& q) {
+  if (const auto* page = std::get_if<Route::Page>(&route.handler)) {
+    return (this->**page)(q);
   }
-  if (path == "/doc") return page_doc(q);
-  if (path == "/agent") return page_agent(q);
-  if (path == "/setpw") return do_set_password(q);
-  if (path == "/help") return page_help(q);
-  if (path == "/api/models") return api_models();
-  if (path == "/api/model") return api_model(q);
-  if (path == "/api/designs") return api_designs();
-  if (path == "/api/design") return api_design(q);
-  return Response::not_found(path);
+  return (this->*std::get<Route::UserPage>(route.handler))(
+      authorized_user(q), q);
 }
 
 // The cached-GET fast path.  Runs under the shared library lock, so no
-// mutating route interleaves; ensure_user() commits from sibling readers
+// writing route interleaves; on a follower, applied replication records
 // can still advance the store revision concurrently, which is why the
 // revision is read *before* rendering — a commit that lands mid-render
 // invalidates the entry instead of being masked by it.
-Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
-  const Target target = request.parsed_target();
-  const std::string key = target.path + '?' + to_query(q);
+Response PowerPlayApp::serve_cached(const Route& route, const Request& request,
+                                    const std::string& path, const Params& q) {
+  const std::string key = path + '?' + to_query(q);
   const std::uint64_t revision = store_.revision();
   const std::uint64_t model_rev = model_revision_.load();
 
@@ -361,7 +339,7 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
   }
 
   cache_->count_miss();
-  Response response = dispatch(target.path, request.method, q);
+  Response response = run(route, q);
   if (response.status != 200) return response;
 
   const std::string etag = ResponseCache::make_etag(response);
@@ -371,7 +349,8 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
   entry.etag = etag;
   entry.revision = revision;
   entry.model_revision = model_rev;
-  entry.design = design_dependency(target.path, q);
+  entry.design =
+      route.design.empty() ? "" : get_or(q, std::string(route.design));
   if (!entry.design.empty()) {
     try {
       if (store_.has_design(entry.design)) {
@@ -401,7 +380,7 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
 // Liveness/ops endpoint: plain text so load balancers and shell one-
 // liners can read it; includes the server's resilience counters when a
 // stats source has been wired.
-Response PowerPlayApp::page_healthz() {
+Response PowerPlayApp::page_healthz(const Params&) {
   std::ostringstream os;
   os << "ok\n";
   os << "models: " << registry_.size() << "\n";
@@ -546,6 +525,13 @@ FederatedLibrary& PowerPlayApp::enable_federation(FederationOptions options) {
   return *federation_;
 }
 
+FederatedLibrary& PowerPlayApp::federated() {
+  if (federation_ == nullptr) {
+    throw HttpError("federation not enabled on this site");
+  }
+  return *federation_;
+}
+
 Deadline PowerPlayApp::request_deadline() const {
   const auto budget = request_budget_ms_.load();
   return budget > 0 ? Deadline::after(std::chrono::milliseconds(budget))
@@ -556,7 +542,7 @@ Deadline PowerPlayApp::request_deadline() const {
 // the per-host verdict lines that make partial results explicit.
 Response PowerPlayApp::fed_models(const Params& q) {
   const FedSearchResult result =
-      federation_->search(get_or(q, "q"), request_deadline());
+      federated().search(get_or(q, "q"), request_deadline());
   std::ostringstream os;
   os << "# federated models: " << result.models.size()
      << (result.partial ? " (partial)" : "")
@@ -581,11 +567,12 @@ Response PowerPlayApp::fed_models(const Params& q) {
 // GET /fed/model?name=N — hedged, health-routed fetch; the body is the
 // definition in library serialization format, provenance in headers.
 Response PowerPlayApp::fed_model(const Params& q) {
+  FederatedLibrary& federation = federated();
   const std::string name = get_or(q, "name");
   if (name.empty()) return Response::bad_request("missing name");
   FedFetchResult result;
   try {
-    result = federation_->fetch_model(name, request_deadline());
+    result = federation.fetch_model(name, request_deadline());
   } catch (const HttpError& e) {
     Response r;
     r.status = 502;
@@ -603,10 +590,10 @@ Response PowerPlayApp::fed_model(const Params& q) {
 }
 
 // GET /fed/hosts — health table for ops.
-Response PowerPlayApp::fed_hosts_page() const {
+Response PowerPlayApp::fed_hosts_page(const Params&) {
   std::ostringstream os;
   os << "# federated hosts\n";
-  for (const FedHostStats& h : federation_->hosts()) {
+  for (const FedHostStats& h : federated().hosts()) {
     os << h.key << " breaker=";
     switch (h.breaker) {
       case CircuitBreaker::State::kClosed:
@@ -633,18 +620,19 @@ Response PowerPlayApp::fed_hosts_page() const {
 
 // POST /fed/hosts?add=host:port | remove=host:port — admin membership.
 Response PowerPlayApp::do_fed_hosts(const Params& q) {
+  FederatedLibrary& federation = federated();
   const std::string add = get_or(q, "add");
   const std::string remove = get_or(q, "remove");
   if (!add.empty()) {
     const std::uint16_t port = parse_peer_spec(add);
-    federation_->add_host(port);
+    federation.add_host(port);
     return Response::ok_text("added 127.0.0.1:" + std::to_string(port) +
                              "\n");
   }
   if (!remove.empty()) {
     const std::uint16_t port = parse_peer_spec(remove);
     const std::string key = "127.0.0.1:" + std::to_string(port);
-    if (!federation_->remove_host(key)) {
+    if (!federation.remove_host(key)) {
       return Response::not_found(key);
     }
     return Response::ok_text("removed " + key + "\n");
@@ -697,7 +685,7 @@ Response PowerPlayApp::redirect_to_primary(const Request& request) {
   return r;
 }
 
-Response PowerPlayApp::repl_snapshot() {
+Response PowerPlayApp::repl_snapshot(const Params&) {
   const library::ReplSnapshot snapshot = store_.export_replication_snapshot();
   Response r;
   r.status = 200;
@@ -761,7 +749,7 @@ Response PowerPlayApp::repl_journal(const Params& q) {
   return r;
 }
 
-Response PowerPlayApp::do_repl_promote() {
+Response PowerPlayApp::do_repl_promote(const Params&) {
   PromoteHook hook;
   {
     std::lock_guard lock(repl_mutex_);
@@ -781,7 +769,7 @@ Response PowerPlayApp::do_repl_promote() {
                            "\n");
 }
 
-Response PowerPlayApp::page_root() const {
+Response PowerPlayApp::page_root(const Params&) {
   HtmlPage page("PowerPlay");
   page.paragraph(
       "Early power exploration.  WWW browsers do not supply user names, "
@@ -793,8 +781,7 @@ Response PowerPlayApp::page_root() const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::page_menu(const Params& q) {
-  const UserProfile profile = authorized_user(q);
+Response PowerPlayApp::page_menu(UserProfile profile, const Params&) {
   const std::string& user = profile.username;
 
   HtmlPage page("PowerPlay Main Menu");
@@ -829,7 +816,7 @@ Response PowerPlayApp::page_menu(const Params& q) {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::page_library(const Params& q) const {
+Response PowerPlayApp::page_library(const Params& q) {
   const std::string user = need(q, "user");
   HtmlPage page("PowerPlay Model Library");
   for (Category c :
@@ -854,7 +841,7 @@ Response PowerPlayApp::page_library(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::page_model(const Params& q) const {
+Response PowerPlayApp::page_model(const Params& q) {
   const std::string user = need(q, "user");
   const std::string name = need(q, "name");
   const model::Model& m = registry_.at(name);
@@ -920,8 +907,8 @@ Response PowerPlayApp::page_model(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::do_design_add(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_design_add(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string model_name = need(q, "model");
   const std::string design_name = need(q, "design");
   const std::string row_name = need(q, "row");
@@ -934,7 +921,6 @@ Response PowerPlayApp::do_design_add(const Params& q) {
           : sheet::Design(design_name);
   if (!store_.has_design(design_name)) {
     // New sheets start from the user's defaults as globals.
-    const UserProfile profile = store_.ensure_user(user);
     for (const auto& [nm, value] : profile.defaults) {
       design.globals().set(nm, value);
     }
@@ -955,8 +941,8 @@ Response PowerPlayApp::do_design_add(const Params& q) {
   // answers 400 and is not committed.
   Response page = render_design(user, design, "added row '" + row_name + "'");
   store_.save_design(design);
-
-  UserProfile profile = store_.ensure_user(user);
+  // Listing the design is the write that saves a first-time user's
+  // profile.
   if (std::find(profile.designs.begin(), profile.designs.end(),
                 design_name) == profile.designs.end()) {
     profile.designs.push_back(design_name);
@@ -1017,8 +1003,8 @@ Response PowerPlayApp::render_design(const std::string& user,
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::do_design_play(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_design_play(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
@@ -1041,8 +1027,8 @@ Response PowerPlayApp::do_design_play(const Params& q) {
   return page;
 }
 
-Response PowerPlayApp::do_design_setrow(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_design_setrow(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string name = need(q, "name");
   const std::string row_name = need(q, "row");
   const std::string param = need(q, "param");
@@ -1130,6 +1116,18 @@ int parse_axis_points(const std::string& text, const std::string& what) {
   return sheet::axis_points(parse_double(text, what), what);
 }
 
+/// The reply to a job submission: its id, where to poll it, and where
+/// to read each of `formats` once it is done.
+Response job_submitted(std::uint64_t id,
+                       std::initializer_list<const char*> formats) {
+  std::ostringstream os;
+  os << "id: " << id << "\nstatus: queued\npoll: /job?id=" << id << "\n";
+  for (const char* f : formats) {
+    os << f << ": /job?id=" << id << "&format=" << f << "\n";
+  }
+  return Response::ok_text(os.str());
+}
+
 SweepAxis parse_axis(const Params& q, const std::string& prefix) {
   SweepAxis axis;
   axis.param = need(q, prefix + "_param");
@@ -1144,8 +1142,8 @@ SweepAxis parse_axis(const Params& q, const std::string& prefix) {
 
 }  // namespace
 
-Response PowerPlayApp::do_design_sweep(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_design_sweep(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
@@ -1209,14 +1207,8 @@ Response PowerPlayApp::do_design_sweep(const Params& q) {
     };
   }
 
-  const std::uint64_t id = jobs_.submit(user, describe.str(),
-                                        std::move(work));
-  std::ostringstream os;
-  os << "id: " << id << "\n";
-  os << "status: queued\n";
-  os << "poll: /job?id=" << id << "\n";
-  os << "csv: /job?id=" << id << "&format=csv\n";
-  return Response::ok_text(os.str());
+  return job_submitted(jobs_.submit(user, describe.str(), std::move(work)),
+                       {"csv"});
 }
 
 // ---------------------------------------------------------------------------
@@ -1277,8 +1269,8 @@ std::size_t parse_sample_count(const Params& q, std::size_t fallback) {
 
 }  // namespace
 
-Response PowerPlayApp::do_design_explore(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_design_explore(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
@@ -1437,15 +1429,8 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
   }
 
   explore_jobs_total_.fetch_add(1);
-  const std::uint64_t id =
-      jobs_.submit(user, describe.str(), std::move(work));
-  std::ostringstream os;
-  os << "id: " << id << "\n";
-  os << "status: queued\n";
-  os << "poll: /job?id=" << id << "\n";
-  os << "csv: /job?id=" << id << "&format=csv\n";
-  os << "json: /job?id=" << id << "&format=json\n";
-  return Response::ok_text(os.str());
+  return job_submitted(jobs_.submit(user, describe.str(), std::move(work)),
+                       {"csv", "json"});
 }
 
 namespace {
@@ -1496,9 +1481,9 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-/// One job as a JSON object, `result` included (rendered now) when the
-/// job is done and its result has a JSON form.
-std::string job_json(const engine::JobSnapshot& snap) {
+/// One job's status as a JSON object, plus its `result` (rendered now)
+/// when asked for, the job is done and the result has a JSON form.
+std::string job_json(const engine::JobSnapshot& snap, bool with_result) {
   std::ostringstream os;
   os << "{\"id\":" << snap.id << ",\"user\":\"" << json_escape(snap.user)
      << "\",\"description\":\"" << json_escape(snap.description)
@@ -1510,7 +1495,7 @@ std::string job_json(const engine::JobSnapshot& snap) {
     os << ",\"error\":\"" << json_escape(snap.error) << "\"";
   }
   std::string out = os.str();
-  if (snap.status == engine::JobStatus::kDone &&
+  if (with_result && snap.status == engine::JobStatus::kDone &&
       snap.result.has(engine::JobFormat::kJson)) {
     out += ",\"result\":";
     out += snap.result.render(engine::JobFormat::kJson);
@@ -1521,28 +1506,37 @@ std::string job_json(const engine::JobSnapshot& snap) {
 
 }  // namespace
 
-Response PowerPlayApp::page_job(const Params& q) const {
+// GET /job?id=N answers the status lines only; a done job's result is
+// read in one format — table, csv or json — rendered for that read.
+Response PowerPlayApp::page_job(const Params& q) {
   const std::string id_text = need(q, "id");
   const std::uint64_t id = parse_job_id(id_text);
   const auto snap = jobs_.get(id);
   if (!snap.has_value()) {
     return Response::not_found("job " + id_text);
   }
-  if (get_or(q, "format") == "csv") {
-    if (snap->status != engine::JobStatus::kDone) {
-      return Response::bad_request("job " + id_text + " is " +
-                                   engine::to_string(snap->status) +
-                                   "; CSV is available once done");
-    }
-    Response r;
-    r.content_type = "text/csv";
-    r.body = snap->result.render(engine::JobFormat::kCsv);
-    return r;
-  }
-  if (get_or(q, "format") == "json") {
+  const std::string format = get_or(q, "format");
+  if (format == "json") {
     Response r;
     r.content_type = "application/json";
-    r.body = job_json(*snap) + "\n";
+    r.body = job_json(*snap, true) + "\n";
+    return r;
+  }
+  if (!format.empty()) {
+    const bool csv = format == "csv";
+    if (!csv && format != "table") {
+      throw HttpError("unknown format '" + format +
+                      "' — use table, csv or json");
+    }
+    if (snap->status != engine::JobStatus::kDone) {
+      return Response::bad_request("job " + id_text + " is " +
+                                   engine::to_string(snap->status) + "; " +
+                                   (csv ? "CSV" : "the table") +
+                                   " is available once done");
+    }
+    Response r = Response::ok_text(snap->result.render(
+        csv ? engine::JobFormat::kCsv : engine::JobFormat::kTable));
+    if (csv) r.content_type = "text/csv";
     return r;
   }
   std::ostringstream os;
@@ -1556,16 +1550,16 @@ Response PowerPlayApp::page_job(const Params& q) const {
       snap->status == engine::JobStatus::kCancelled) {
     os << "error: " << snap->error << "\n";
   }
-  std::string body = os.str();
   if (snap->status == engine::JobStatus::kDone) {
-    body += '\n';
-    body += snap->result.render(engine::JobFormat::kTable);
+    for (const char* f : {"table", "csv", "json"}) {
+      os << f << ": /job?id=" << id << "&format=" << f << "\n";
+    }
   }
-  return Response::ok_text(std::move(body));
+  return Response::ok_text(os.str());
 }
 
-Response PowerPlayApp::do_job_cancel(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_job_cancel(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   const std::string id_text = need(q, "id");
   const std::uint64_t id = parse_job_id(id_text);
   const auto snap = jobs_.get(id);
@@ -1597,7 +1591,7 @@ Response PowerPlayApp::do_job_cancel(const Params& q) {
   return Response::ok_text(os.str());
 }
 
-Response PowerPlayApp::page_jobs(const Params& q) const {
+Response PowerPlayApp::page_jobs(const Params& q) {
   const std::string user = need(q, "user");
   if (get_or(q, "format") == "json") {
     std::string body = "[";
@@ -1605,7 +1599,7 @@ Response PowerPlayApp::page_jobs(const Params& q) const {
     for (const engine::JobSnapshot& snap : jobs_.list(user)) {
       if (!first) body += ",";
       first = false;
-      body += job_json(snap);
+      body += job_json(snap, false);
     }
     body += "]\n";
     Response r;
@@ -1623,7 +1617,7 @@ Response PowerPlayApp::page_jobs(const Params& q) const {
   return Response::ok_text(os.str());
 }
 
-Response PowerPlayApp::page_new_model(const Params& q) const {
+Response PowerPlayApp::page_new_model(const Params& q) {
   const std::string user = need(q, "user");
   HtmlPage page("Define a new model");
   page.paragraph(
@@ -1650,8 +1644,8 @@ Response PowerPlayApp::page_new_model(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::do_new_model(const Params& q) {
-  const std::string user = authorized_user(q).username;
+Response PowerPlayApp::do_new_model(UserProfile profile, const Params& q) {
+  const std::string& user = profile.username;
   model::UserModelDefinition def;
   def.name = need(q, "name");
   library::validate_store_name(def.name);
@@ -1702,7 +1696,7 @@ Response PowerPlayApp::do_new_model(const Params& q) {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::page_doc(const Params& q) const {
+Response PowerPlayApp::page_doc(const Params& q) {
   const std::string user = need(q, "user");
   const std::string name = need(q, "name");
   const model::Model& m = registry_.at(name);
@@ -1725,7 +1719,7 @@ Response PowerPlayApp::page_doc(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::page_agent(const Params& q) const {
+Response PowerPlayApp::page_agent(const Params& q) {
   const std::string user = need(q, "user");
   const std::string request = get_or(q, "request", "power");
   HtmlPage page("Design Agent");
@@ -1769,7 +1763,7 @@ Response PowerPlayApp::design_csv(const Params& q) {
   return r;
 }
 
-Response PowerPlayApp::page_help(const Params& q) const {
+Response PowerPlayApp::page_help(const Params& q) {
   const std::string user = get_or(q, "user", "guest");
   HtmlPage page("PowerPlay Help & Tutorial");
   page.heading("Quick tutorial", 3);
@@ -1810,9 +1804,8 @@ Response PowerPlayApp::page_help(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::do_set_password(const Params& q) {
+Response PowerPlayApp::do_set_password(UserProfile profile, const Params& q) {
   // Changing a password requires the current one (authorized_user).
-  UserProfile profile = authorized_user(q);
   profile.set_password(get_or(q, "newpw"));
   store_.save_user(profile);
   HtmlPage page("Password updated");
@@ -1830,7 +1823,7 @@ Response PowerPlayApp::do_set_password(const Params& q) {
 // Remote model-access protocol
 // ---------------------------------------------------------------------------
 
-Response PowerPlayApp::api_models() const {
+Response PowerPlayApp::api_models(const Params&) {
   std::string out;
   for (const std::string& name : store_.list_models()) {
     if (!store_.is_proprietary(name)) out += name + "\n";
@@ -1838,7 +1831,7 @@ Response PowerPlayApp::api_models() const {
   return Response::ok_text(out);
 }
 
-Response PowerPlayApp::api_model(const Params& q) const {
+Response PowerPlayApp::api_model(const Params& q) {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   auto def = store_.load_model(name);
@@ -1853,13 +1846,13 @@ Response PowerPlayApp::api_model(const Params& q) const {
   return Response::ok_text(library::to_text(*def));
 }
 
-Response PowerPlayApp::api_designs() const {
+Response PowerPlayApp::api_designs(const Params&) {
   std::string out;
   for (const std::string& name : store_.list_designs()) out += name + "\n";
   return Response::ok_text(out);
 }
 
-Response PowerPlayApp::api_design(const Params& q) const {
+Response PowerPlayApp::api_design(const Params& q) {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {

@@ -2,48 +2,12 @@
 //
 // Implements the interaction flow of the paper's "PowerPlay
 // Implementation" section with C++ handlers in place of Perl scripts:
-//
-//   GET  /                    — identification (username) form
-//   GET  /menu                — the user's main menu (defaults loaded
-//                               from the store, designs listed)
-//   GET  /library             — shared model library, by category
-//   GET  /model               — a model's input form (Figure 4); with
-//                               parameter values present it also shows
-//                               the computed result excerpt
-//   POST /design/add          — append the configured instance to a
-//                               design spreadsheet (creating it if new)
-//   GET  /design              — the design spreadsheet (Figure 2/5) with
-//                               editable globals and a Play button
-//   POST /design/play         — apply global edits, recompute, re-render
-//   POST /design/setrow       — edit one row parameter and recompute
-//   GET  /newmodel            — the user-defined-model form
-//   POST /newmodel            — validate + save the new model
-//   GET  /doc                 — a model's documentation page
-//
-// Async evaluation (the parallel engine behind the what-if loop):
-//
-//   POST /design/sweep        — enqueue a sweep job, answer with its id
-//   POST /design/explore      — design-space exploration job: mode=
-//                               mc | pareto | inverse | fit (docs/explore.md)
-//   GET  /job?id=N            — poll status/progress; result when done
-//                               (format=csv | json)
-//   GET  /jobs?user=U         — a user's jobs, newest first (format=json)
-//   POST /job/cancel?id=N     — cooperative cancel (owner only)
-//
-// Remote model-access protocol (Figures 6/7), plain-text bodies in the
-// library serialization format:
-//
-//   GET /api/models           — list of shareable model names
-//   GET /api/model?name=N     — one model definition (403 if proprietary)
-//   GET /api/designs          — list of stored design names
-//   GET /api/design?name=N    — one design
-//   GET /design/csv?user=U&name=N — Play result as CSV (spreadsheet
-//                               interchange for external tooling)
-//
-// The Design Agent page shows how a hyperlink request for data maps to
-// tool invocations in each design context:
-//
-//   GET /agent?user=U&request=power
+// identification, the main menu, the model library and its input forms
+// (Figure 4), design spreadsheets with Play (Figures 2/5), user-defined
+// models, the Design Agent, async sweep and exploration jobs, and the
+// remote model-access protocol (Figures 6/7).  Each URL is declared
+// once, as a row of the route table (kRoutes in app.cpp) naming its
+// method, handler and policy; docs/WEB_API.md documents every route.
 //
 // Concurrency: there is no global app mutex.  Each user's requests are
 // serialized by a session lock (one of a fixed set of stripes, picked by
@@ -98,8 +62,10 @@ class PowerPlayApp {
   /// the HttpServer has stopped accepting requests.
   void shutdown();
 
-  /// Dispatch one request.  Thread-safe: requests for distinct users
-  /// run concurrently; only library mutations take the exclusive lock.
+  /// Dispatch one request through the route table: 404 for an unknown
+  /// path, 405 (with Allow) for a known path asked with another method.
+  /// Thread-safe: requests for distinct users run concurrently; only
+  /// library writes take the exclusive lock.
   Response handle(const Request& request);
 
   [[nodiscard]] model::ModelRegistry& registry() { return registry_; }
@@ -164,42 +130,50 @@ class PowerPlayApp {
   }
 
  private:
-  Response page_healthz();
-  Response repl_snapshot();
+  using UserProfile = library::UserProfile;
+
+  // Route handlers, one per row of the route table (kRoutes in
+  // app.cpp).  Rows whose handler takes a UserProfile check the user's
+  // password before it runs.
+  Response page_healthz(const Params& q);
+  Response repl_snapshot(const Params& q);
   Response repl_journal(const Params& q);
-  Response do_repl_promote();
-  Response redirect_to_primary(const Request& request);
-  Response page_root() const;
-  Response page_menu(const Params& q);
-  Response page_library(const Params& q) const;
-  Response page_model(const Params& q) const;
-  Response do_design_add(const Params& q);
+  Response do_repl_promote(const Params& q);
+  Response page_root(const Params& q);
+  Response page_menu(UserProfile profile, const Params& q);
+  Response page_library(const Params& q);
+  Response page_model(const Params& q);
+  Response do_design_add(UserProfile profile, const Params& q);
   Response page_design(const Params& q);
-  Response do_design_play(const Params& q);
-  Response do_design_setrow(const Params& q);
-  Response do_design_sweep(const Params& q);
-  Response do_design_explore(const Params& q);
-  Response page_job(const Params& q) const;
-  Response page_jobs(const Params& q) const;
-  Response do_job_cancel(const Params& q);
-  Response page_new_model(const Params& q) const;
-  Response do_new_model(const Params& q);
-  Response page_doc(const Params& q) const;
-  Response page_agent(const Params& q) const;
-  Response do_set_password(const Params& q);
-  Response page_help(const Params& q) const;
+  Response do_design_play(UserProfile profile, const Params& q);
+  Response do_design_setrow(UserProfile profile, const Params& q);
+  Response do_design_sweep(UserProfile profile, const Params& q);
+  Response do_design_explore(UserProfile profile, const Params& q);
+  Response page_job(const Params& q);
+  Response page_jobs(const Params& q);
+  Response do_job_cancel(UserProfile profile, const Params& q);
+  Response page_new_model(const Params& q);
+  Response do_new_model(UserProfile profile, const Params& q);
+  Response page_doc(const Params& q);
+  Response page_agent(const Params& q);
+  Response do_set_password(UserProfile profile, const Params& q);
+  Response page_help(const Params& q);
   Response design_csv(const Params& q);
 
-  Response api_models() const;
-  Response api_model(const Params& q) const;
-  Response api_designs() const;
-  Response api_design(const Params& q) const;
+  Response api_models(const Params& q);
+  Response api_model(const Params& q);
+  Response api_designs(const Params& q);
+  Response api_design(const Params& q);
 
   [[nodiscard]] Deadline request_deadline() const;
+  /// The federation, or HttpError (a 400) when it is not enabled.
+  FederatedLibrary& federated();
   Response fed_models(const Params& q);
   Response fed_model(const Params& q);
-  Response fed_hosts_page() const;
+  Response fed_hosts_page(const Params& q);
   Response do_fed_hosts(const Params& q);
+
+  Response redirect_to_primary(const Request& request);
 
   /// Authentication failure (403, vs HttpError's 400).
   class AccessDenied : public std::runtime_error {
@@ -207,25 +181,31 @@ class PowerPlayApp {
     using std::runtime_error::runtime_error;
   };
 
-  /// Load-or-create the profile for q["user"], enforcing its password.
-  library::UserProfile authorized_user(const Params& q);
+  /// The profile for q["user"] — stored, or library::default_profile
+  /// for a first visit, never saved here — with its password enforced.
+  [[nodiscard]] UserProfile authorized_user(const Params& q) const;
 
   /// Play `design` on its compiled plan and render its spreadsheet
   /// page.  The write routes pass the design they just saved.
   Response render_design(const std::string& user, const sheet::Design& design,
                          const std::string& message = {});
 
-  Response dispatch(const std::string& path, const std::string& method,
-                    const Params& q);
+  /// One (method, path) row: handler, lock, cache, follower and
+  /// password policy.  Defined in app.cpp beside the table.
+  struct Route;
+  static const Route kRoutes[];
 
-  /// The cached-GET fast path: revision-checked lookup, fingerprint
-  /// revalidation, If-None-Match handling, and fill-on-miss.  Only
-  /// called for cacheable routes (see cacheable_route in app.cpp).
-  Response serve_cached(const Request& request, const Params& q);
+  /// Call `route`'s handler, checking the password first if it takes
+  /// the user's profile.
+  Response run(const Route& route, const Params& q);
 
-  /// Store + registry lock: shared for reads, exclusive for the few
-  /// mutating routes (/design/add, /design/play, /design/setrow,
-  /// POST /newmodel).
+  /// The cached-GET fast path for a cached row: revision-checked lookup,
+  /// fingerprint revalidation, If-None-Match handling, and fill-on-miss.
+  Response serve_cached(const Route& route, const Request& request,
+                        const std::string& path, const Params& q);
+
+  /// Store + registry lock: shared for reads, exclusive for the rows
+  /// that write the library (see kRoutes).
   mutable std::shared_mutex library_mutex_;
   /// Per-user session locks, striped by hash of the user name: bounded
   /// by construction, however many distinct users a site sees.

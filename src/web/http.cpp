@@ -91,8 +91,8 @@ bool is_text_type(const std::string& content_type) {
 
 }  // namespace
 
-Params Request::all_params() const {
-  Params params = parsed_target().query;
+Params Request::all_params(Params query) const {
+  Params params = std::move(query);
   auto it = headers.find("content-type");
   const bool urlencoded =
       it != headers.end() &&
@@ -160,6 +160,15 @@ Response Response::redirect(const std::string& location) {
   return r;
 }
 
+Response Response::method_not_allowed(const std::string& allow) {
+  Response r;
+  r.status = 405;
+  r.content_type = "text/plain";
+  r.headers["allow"] = allow;
+  r.body = "method not allowed; use " + allow + "\n";
+  return r;
+}
+
 Response Response::not_modified(const std::string& etag) {
   Response r;
   r.status = 304;
@@ -176,6 +185,7 @@ std::string status_text(int status) {
     case 400: return "Bad Request";
     case 403: return "Forbidden";
     case 404: return "Not Found";
+    case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";

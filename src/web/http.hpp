@@ -122,7 +122,11 @@ struct Request {
 
   /// Query parameters plus (for POST with a urlencoded body) form fields;
   /// form fields win on collision.
-  [[nodiscard]] Params all_params() const;
+  [[nodiscard]] Params all_params() const {
+    return all_params(parsed_target().query);
+  }
+  /// The same over the query of a target the caller already parsed.
+  [[nodiscard]] Params all_params(Params query) const;
 
   /// HTTP/1.1 defaults to persistent connections; HTTP/1.0 must opt in
   /// with `Connection: keep-alive`; `Connection: close` always wins.
@@ -141,6 +145,9 @@ struct Response {
   static Response bad_request(const std::string& why);
   static Response server_error(const std::string& why);
   static Response redirect(const std::string& location);
+  /// 405 for a known path asked with a method it does not take; `allow`
+  /// lists the methods it does take ("GET, POST").
+  static Response method_not_allowed(const std::string& allow);
   /// 304 with the matching strong ETag and an empty body.
   static Response not_modified(const std::string& etag);
 };

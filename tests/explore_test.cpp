@@ -502,6 +502,11 @@ struct ExploreWebFixture : ::testing::Test {
     const auto pos = body.find("id: ");
     return body.substr(pos + 4, body.find('\n', pos) - pos - 4);
   }
+
+  /// The result table of the job whose /job body is `body`.
+  [[nodiscard]] std::string table(const std::string& body) const {
+    return get("/job?id=" + job_id(body) + "&format=table").body;
+  }
 };
 
 TEST_F(ExploreWebFixture, MonteCarloJobWithProgressAndJson) {
@@ -515,7 +520,7 @@ TEST_F(ExploreWebFixture, MonteCarloJobWithProgressAndJson) {
   EXPECT_NE(body.find("progress: 64/64"), std::string::npos) << body;
   EXPECT_NE(body.find("progress_fraction: 1.000"), std::string::npos)
       << body;
-  EXPECT_NE(body.find("p50"), std::string::npos) << body;
+  EXPECT_NE(table(body).find("p50"), std::string::npos) << table(body);
 
   const std::string id = job_id(body);
   const Response csv = get("/job?id=" + id + "&format=csv");
@@ -593,7 +598,8 @@ TEST_F(ExploreWebFixture, ParetoAndInverseJobs) {
                                       {"axes", "vdd=1.2:1.8:3;f=1e6:2e6:2"},
                                       {"objectives", "power,max:f"}});
   EXPECT_NE(pareto.find("status: done"), std::string::npos) << pareto;
-  EXPECT_NE(pareto.find("pareto frontier"), std::string::npos) << pareto;
+  EXPECT_NE(table(pareto).find("pareto frontier"), std::string::npos)
+      << table(pareto);
   const Response pjson = get("/job?id=" + job_id(pareto) + "&format=json");
   EXPECT_NE(pjson.body.find("\"result\":["), std::string::npos)
       << pjson.body;
@@ -607,8 +613,10 @@ TEST_F(ExploreWebFixture, ParetoAndInverseJobs) {
                                        {"metric", "power"},
                                        {"limit", "1"}});
   EXPECT_NE(inverse.find("status: done"), std::string::npos) << inverse;
-  EXPECT_NE(inverse.find("inverse query"), std::string::npos) << inverse;
-  EXPECT_NE(inverse.find("vdd\t1.8"), std::string::npos) << inverse;
+  EXPECT_NE(table(inverse).find("inverse query"), std::string::npos)
+      << table(inverse);
+  EXPECT_NE(table(inverse).find("vdd\t1.8"), std::string::npos)
+      << table(inverse);
 }
 
 TEST_F(ExploreWebFixture, FitPersistsAcrossReopenAndServesPredictions) {
@@ -620,7 +628,7 @@ TEST_F(ExploreWebFixture, FitPersistsAcrossReopenAndServesPredictions) {
                                     {"samples", "64"},
                                     {"basis", "poly2"}});
   EXPECT_NE(body.find("status: done"), std::string::npos) << body;
-  EXPECT_NE(body.find("r2"), std::string::npos) << body;
+  EXPECT_NE(table(body).find("r2"), std::string::npos) << table(body);
 
   // The fitted model serves over HTTP like any library model, with its
   // diagnostics in the documentation line.

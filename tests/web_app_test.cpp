@@ -5,6 +5,10 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,13 +67,14 @@ TEST_F(AppFixture, RootShowsIdentificationForm) {
   EXPECT_NE(r.body.find("name=\"user\""), std::string::npos);
 }
 
-TEST_F(AppFixture, MenuCreatesProfileAndShowsDefaults) {
+TEST_F(AppFixture, MenuShowsDefaultsWithoutSavingAProfile) {
   const Response r = get("/menu?user=dlidsky");
   EXPECT_EQ(r.status, 200);
   EXPECT_NE(r.body.find("dlidsky"), std::string::npos);
   EXPECT_NE(r.body.find("vdd"), std::string::npos);
-  // Profile persisted.
-  EXPECT_TRUE(app->store().load_user("dlidsky").has_value());
+  // A GET never writes: the first visit shows the default profile but
+  // does not persist it.
+  EXPECT_FALSE(app->store().load_user("dlidsky").has_value());
 }
 
 TEST_F(AppFixture, MenuWithoutUserIsBadRequest) {
@@ -691,6 +696,186 @@ TEST_F(AppFixture, RedefinedModelReachesSweepJobsAndPlay) {
   const auto d = app->store().load_design("Bricks", app->registry());
   EXPECT_EQ(get("/design/csv?user=dl&name=Bricks").body,
             sheet::to_csv(d->play()));
+}
+
+// A GET never writes durable state: every GET route, asked by a user
+// the store has never seen and with the error variants of its
+// parameters, leaves the journal and the library revision untouched.
+TEST_F(AppFixture, GetsNeverWriteEvenForANewUser) {
+  app->store().save_design(converter_board(app->registry()));
+  library::UserProfile locked = library::default_profile("locked");
+  locked.set_password("s3cret");
+  app->store().save_user(locked);
+  const auto appends = [this] {
+    return healthz_counter(get("/healthz").body, "journal_appends");
+  };
+  const std::uint64_t before = appends();
+  const std::uint64_t revision = app->store().revision();
+
+  for (const char* target : {
+           "/",
+           "/healthz",
+           "/menu?user=newcomer",
+           "/menu?user=newcomer&pw=guess",
+           "/menu",
+           "/menu?user=..%2Fetc",
+           "/menu?user=locked",
+           "/menu?user=locked&pw=s3cret",
+           "/library?user=newcomer",
+           "/library",
+           "/model?user=newcomer&name=sram",
+           "/model?user=newcomer&name=sram&p_words=2048",
+           "/model?user=newcomer&name=sram&p_words=lots",
+           "/model?user=newcomer&name=warp_core",
+           "/doc?user=newcomer&name=sram",
+           "/doc?user=newcomer&name=warp_core",
+           "/agent?user=newcomer",
+           "/agent",
+           "/help?user=newcomer",
+           "/design?user=newcomer&name=Converter_Board",
+           "/design?user=newcomer&name=Nope",
+           "/design?user=newcomer&name=..%2Fx",
+           "/design/csv?user=newcomer&name=Converter_Board",
+           "/design/csv?name=Nope",
+           "/newmodel?user=newcomer",
+           "/newmodel",
+           "/job?id=1",
+           "/job?id=x",
+           "/job?id=1&format=table",
+           "/jobs?user=newcomer",
+           "/jobs?user=newcomer&format=json",
+           "/api/models",
+           "/api/model?name=Nope",
+           "/api/model?name=..%2Fx",
+           "/api/designs",
+           "/api/design?name=Converter_Board",
+           "/api/design?name=Nope",
+           "/repl/snapshot",
+           "/repl/journal?epoch=1&after=0",
+           "/repl/journal",
+           "/fed/models",
+           "/fed/model?name=x",
+           "/fed/hosts",
+       }) {
+    EXPECT_NE(get(target).status, 405) << target;
+    EXPECT_EQ(app->store().revision(), revision) << target;
+  }
+  EXPECT_EQ(appends(), before);
+  EXPECT_FALSE(app->store().load_user("newcomer").has_value());
+}
+
+// A write route asked with GET answers 405 naming POST, and commits
+// nothing even when its parameters would make a valid edit.
+TEST_F(AppFixture, WriteRoutesRefuseGet) {
+  const sheet::Design board = converter_board(app->registry());
+  app->store().save_design(board);
+  const std::string csv = sheet::to_csv(board.play());
+  const auto appends = [this] {
+    return healthz_counter(get("/healthz").body, "journal_appends");
+  };
+  const std::uint64_t before = appends();
+  const std::uint64_t revision = app->store().revision();
+
+  for (const char* target : {
+           "/design/play?user=dl&name=Converter_Board&g_eff=0.9",
+           "/design/setrow?user=dl&name=Converter_Board&row=Load"
+           "&param=p_typical&value=3",
+           "/design/add?user=dl&model=sram&design=Fresh&row=R",
+           "/setpw?user=dl&newpw=x",
+           "/job/cancel?user=dl&id=1",
+       }) {
+    const Response r = get(target);
+    EXPECT_EQ(r.status, 405) << target;
+    EXPECT_EQ(r.headers.count("allow") ? r.headers.at("allow") : "", "POST")
+        << target;
+  }
+  EXPECT_EQ(appends(), before);
+  EXPECT_EQ(app->store().revision(), revision);
+  EXPECT_FALSE(app->store().has_design("Fresh"));
+  EXPECT_FALSE(app->store().load_user("dl").has_value());
+  EXPECT_EQ(get("/design/csv?name=Converter_Board").body, csv);
+}
+
+// Only a write that succeeds saves a first-time user's profile: failed
+// edits from a user with no profile commit nothing at all.
+TEST_F(AppFixture, FailedEditFromANewUserCommitsNothing) {
+  app->store().save_design(converter_board(app->registry()));
+  const auto appends = [this] {
+    return healthz_counter(get("/healthz").body, "journal_appends");
+  };
+  const std::uint64_t before = appends();
+
+  EXPECT_EQ(post("/design/play", {{"user", "stranger"},
+                                  {"name", "Converter_Board"},
+                                  {"g_eff", "0.5"}})
+                .status,
+            400);
+  EXPECT_EQ(post("/design/add", {{"user", "stranger"},
+                                 {"model", "dcdc_converter"},
+                                 {"design", "Converter_Board"},
+                                 {"row", "Bad"},
+                                 {"p_efficiency", "2"}})
+                .status,
+            400);
+  EXPECT_EQ(appends(), before);
+  EXPECT_FALSE(app->store().load_user("stranger").has_value());
+
+  // A successful add lists the design on the profile it saves.
+  ASSERT_EQ(post("/design/add", {{"user", "stranger"},
+                                 {"model", "register"},
+                                 {"design", "Mine"},
+                                 {"row", "R"}})
+                .status,
+            200);
+  const auto profile = app->store().load_user("stranger");
+  ASSERT_TRUE(profile.has_value());
+  EXPECT_EQ(profile->designs, std::vector<std::string>{"Mine"});
+}
+
+/// The (route, methods) rows of every table in docs/WEB_API.md whose
+/// second column is a method list such as "GET" or "GET/POST".
+std::map<std::string, std::set<std::string>> documented_routes() {
+  std::ifstream in(std::string(POWERPLAY_DOCS_DIR) + "/WEB_API.md");
+  EXPECT_TRUE(in.good());
+  std::map<std::string, std::set<std::string>> routes;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("| `/", 0) != 0) continue;
+    const std::size_t path_end = line.find('`', 3);
+    const std::size_t cell = line.find('|', path_end);
+    const std::size_t cell_end = line.find('|', cell + 1);
+    std::string methods = line.substr(cell + 1, cell_end - cell - 1);
+    std::erase(methods, ' ');
+    std::istringstream split(methods);
+    std::string method;
+    while (std::getline(split, method, '/')) {
+      if (method != "GET" && method != "POST") break;
+      routes[line.substr(3, path_end - 3)].insert(method);
+    }
+  }
+  return routes;
+}
+
+// Methods are enforced: every (route, method) pair docs/WEB_API.md
+// documents is routed, and every other method on a documented route
+// answers 405.
+TEST_F(AppFixture, DocumentedRoutesAndMethodsAreEnforced) {
+  const auto routes = documented_routes();
+  ASSERT_GE(routes.size(), 30u);
+  for (const auto& [path, methods] : routes) {
+    for (const char* method : {"GET", "POST", "PUT", "DELETE"}) {
+      Request request;
+      request.method = method;
+      request.target = path;
+      const Response r = http_request(server->port(), request);
+      if (methods.contains(method)) {
+        EXPECT_NE(r.status, 404) << method << " " << path;
+        EXPECT_NE(r.status, 405) << method << " " << path;
+      } else {
+        EXPECT_EQ(r.status, 405) << method << " " << path;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -130,19 +130,13 @@ struct ConcurrencyFixture : ::testing::Test {
 };
 
 /// What the three reads of a done job must return, byte for byte:
-/// the table after the poll's header, the CSV body and the JSON
-/// `result` (empty: the reply has no `result`).
+/// the table body, the CSV body and the JSON `result` (empty: the
+/// reply has no `result`).
 struct Rendered {
   std::string table;
   std::string csv;
   std::string json;
 };
-
-/// The poll's table: everything after the header's blank line.
-std::string poll_table(const std::string& body) {
-  const auto at = body.find("\n\n");
-  return at == std::string::npos ? std::string() : body.substr(at + 2);
-}
 
 /// The JSON reply's `result` value, or "" when it has none.
 std::string json_result(const std::string& body) {
@@ -266,7 +260,8 @@ TEST_F(ConcurrencyFixture, SweepJobRunsToCompletion) {
   EXPECT_NE(done.body.find("progress: 16/16"), std::string::npos)
       << done.body;
   // The result table is the grid matrix headed "x \ y".
-  EXPECT_NE(done.body.find("vdd \\ f"), std::string::npos) << done.body;
+  const Response table = get("/job?id=" + id + "&format=table");
+  EXPECT_NE(table.body.find("vdd \\ f"), std::string::npos) << table.body;
 
   const Response csv = get("/job?id=" + id + "&format=csv");
   EXPECT_EQ(csv.status, 200);
@@ -690,7 +685,9 @@ TEST_F(ConcurrencyFixture, EveryJobKindRendersOnReadByteForByte) {
     SCOPED_TRACE("job " + id);
     const Response poll = get("/job?id=" + id);
     ASSERT_NE(poll.body.find("status: done"), std::string::npos);
-    EXPECT_EQ(poll_table(poll.body), want.table);
+    const Response table = get("/job?id=" + id + "&format=table");
+    EXPECT_EQ(table.status, 200);
+    EXPECT_EQ(table.body, want.table);
     const Response csv = get("/job?id=" + id + "&format=csv");
     EXPECT_EQ(csv.status, 200);
     EXPECT_EQ(csv.body, want.csv);
@@ -840,7 +837,7 @@ TEST_F(ConcurrencyFixture, DoneGridJobIsSharedAndRenderedOnlyOnRead) {
   const std::string csv = get("/job?id=" + id + "&format=csv").body;
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 64 * 64 + 1);
   EXPECT_EQ(streamed(), before + csv.size());
-  (void)get("/job?id=" + id);  // the table is not CSV or JSON
+  (void)get("/job?id=" + id + "&format=table");  // not CSV or JSON
   EXPECT_EQ(streamed(), before + csv.size());
 }
 
@@ -859,7 +856,7 @@ TEST_F(ConcurrencyFixture, ConcurrentReadersOfOneDoneJob) {
                                                    {"y_to", "4e6"},
                                                    {"y_points", "16"}});
   const std::vector<std::string> targets = {
-      "/job?id=" + id, "/job?id=" + id + "&format=csv",
+      "/job?id=" + id + "&format=table", "/job?id=" + id + "&format=csv",
       "/job?id=" + id + "&format=json"};
   std::vector<std::string> want;
   for (const std::string& t : targets) want.push_back(get(t).body);
@@ -953,6 +950,76 @@ TEST_F(ConcurrencyFixture, JobCancelOverHttp) {
   EXPECT_NE(health.body.find("jobs_cancelled_total: 1"),
             std::string::npos)
       << health.body;
+}
+
+// A /jobs listing is status only: a done 64x64 grid's result stays on
+// /job?id=N&format=json, so a listing costs bytes per job, not per point.
+TEST_F(ConcurrencyFixture, JobsListingIsStatusOnly) {
+  (void)register_design();
+  const std::string id = run_job("/design/sweep", {{"user", "dl"},
+                                                   {"name", "D"},
+                                                   {"x_param", "vdd"},
+                                                   {"x_from", "1"},
+                                                   {"x_to", "3"},
+                                                   {"x_points", "64"},
+                                                   {"y_param", "f"},
+                                                   {"y_from", "1e6"},
+                                                   {"y_to", "4e6"},
+                                                   {"y_points", "64"}});
+  const Response list = get("/jobs?user=dl&format=json");
+  ASSERT_EQ(list.status, 200);
+  EXPECT_NE(list.body.find("{\"id\":" + id + ","), std::string::npos)
+      << list.body;
+  EXPECT_NE(list.body.find("\"status\":\"done\""), std::string::npos)
+      << list.body;
+  EXPECT_EQ(list.body.find("\"result\""), std::string::npos);
+  EXPECT_LT(list.body.size(), 1024u);  // one job
+  EXPECT_NE(json_result(get("/job?id=" + id + "&format=json").body), "");
+}
+
+// A job's poll is status only.  Once done it links the three result
+// formats; before then the table or CSV is a 400, and so is a format
+// the app does not know.
+TEST_F(ConcurrencyFixture, JobResultFormatsAreReadOneAtATime) {
+  (void)register_design();
+  RunnerGate gate;
+  const std::string parked =
+      std::to_string(app->jobs().submit("dl", "parked runner", gate.work()));
+  for (const char* format : {"table", "csv"}) {
+    const Response early =
+        get("/job?id=" + parked + "&format=" + std::string(format));
+    EXPECT_EQ(early.status, 400) << format;
+    EXPECT_NE(early.body.find("available once done"), std::string::npos)
+        << early.body;
+  }
+  EXPECT_EQ(get("/job?id=" + parked + "&format=xml").status, 400);
+  EXPECT_EQ(get("/job?id=" + parked).body.find("table: "), std::string::npos);
+  gate.open();
+
+  const std::string id = run_job("/design/sweep", {{"user", "dl"},
+                                                   {"name", "D"},
+                                                   {"x_param", "vdd"},
+                                                   {"x_from", "1"},
+                                                   {"x_to", "3"},
+                                                   {"x_points", "4"}});
+  const Response done = get("/job?id=" + id);
+  ASSERT_EQ(done.status, 200);
+  EXPECT_NE(done.body.find("table: /job?id=" + id + "&format=table\n"),
+            std::string::npos)
+      << done.body;
+  EXPECT_NE(done.body.find("csv: /job?id=" + id + "&format=csv\n"),
+            std::string::npos)
+      << done.body;
+  EXPECT_NE(done.body.find("json: /job?id=" + id + "&format=json\n"),
+            std::string::npos)
+      << done.body;
+  // No poll carries the result table itself.
+  EXPECT_EQ(done.body.find("total power"), std::string::npos) << done.body;
+  const Response table = get("/job?id=" + id + "&format=table");
+  EXPECT_EQ(table.status, 200);
+  EXPECT_EQ(table.content_type, "text/plain");
+  EXPECT_EQ(table.body.rfind("vdd\ttotal power\n", 0), 0u) << table.body;
+  EXPECT_EQ(get("/job?id=" + id + "&format=xml").status, 400);
 }
 
 }  // namespace

@@ -94,6 +94,16 @@ TEST(Http, ResponseRoundTrip) {
   EXPECT_EQ(back.body, "<html>hi</html>");
 }
 
+TEST(Http, MethodNotAllowedNamesTheAllowedMethods) {
+  const Response r = Response::method_not_allowed("GET, POST");
+  EXPECT_EQ(r.status, 405);
+  EXPECT_EQ(r.headers.at("allow"), "GET, POST");
+  EXPECT_EQ(status_text(405), "Method Not Allowed");
+  const std::string wire = to_wire(r);
+  EXPECT_EQ(wire.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u) << wire;
+  EXPECT_NE(wire.find("\r\nallow: GET, POST\r\n"), std::string::npos) << wire;
+}
+
 TEST(Http, StatusHelpers) {
   EXPECT_EQ(Response::not_found("x").status, 404);
   EXPECT_EQ(Response::bad_request("y").status, 400);
