@@ -18,16 +18,29 @@ constexpr char kJournalFile[] = "journal.ppwal";
 constexpr char kCursorFile[] = "repl.cursor";
 
 /// kind -> (directory, extension); the journal speaks these kinds.
+/// Indexed by EntryKind.
 struct KindLayout {
+  EntryKind entry;
   const char* kind;
   const char* dir;
   const char* extension;
 };
 constexpr KindLayout kKinds[] = {
-    {"model", "models", ".ppmodel"},
-    {"design", "designs", ".ppdesign"},
-    {"user", "users", ".ppuser"},
+    {EntryKind::kModel, "model", "models", ".ppmodel"},
+    {EntryKind::kDesign, "design", "designs", ".ppdesign"},
+    {EntryKind::kUser, "user", "users", ".ppuser"},
 };
+
+const KindLayout& layout_of(EntryKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+EntryKind entry_kind(const std::string& kind) {
+  for (const KindLayout& layout : kKinds) {
+    if (kind == layout.kind) return layout.entry;
+  }
+  throw FormatError("unknown journal record kind '" + kind + "'");
+}
 
 std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -37,19 +50,6 @@ std::string read_file(const fs::path& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-std::vector<std::string> list_stems(const fs::path& dir,
-                                    const std::string& extension) {
-  std::vector<std::string> out;
-  if (!fs::exists(dir)) return out;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == extension) {
-      out.push_back(entry.path().stem().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool all_digits(const std::string& s, std::size_t begin, std::size_t end) {
@@ -90,13 +90,13 @@ bool is_temp_file(const fs::path& path) {
 }  // namespace
 
 void validate_store_name(const std::string& name) {
-  if (name.empty()) throw FormatError("empty name");
+  if (name.empty()) throw BadStoreName("empty name");
   if (name.front() == '.') {
-    throw FormatError("name must not start with '.': '" + name + "'");
+    throw BadStoreName("name must not start with '.': '" + name + "'");
   }
   for (char c : name) {
     if (c == '/' || c == '\\' || c == '\0') {
-      throw FormatError("name contains a path separator: '" + name + "'");
+      throw BadStoreName("name contains a path separator: '" + name + "'");
     }
   }
 }
@@ -171,6 +171,7 @@ LibraryStore::LibraryStore(fs::path root, StoreOptions options)
     : root_(std::move(root)),
       options_(options),
       counters_(std::make_unique<Counters>()),
+      catalog_(std::make_unique<Catalog>()),
       signal_(std::make_unique<CommitSignal>()),
       commit_mutex_(std::make_unique<std::mutex>()) {
   fs::create_directories(root_ / "models");
@@ -183,24 +184,10 @@ LibraryStore::LibraryStore(fs::path root, StoreOptions options)
   load_replication_cursor_locked();
 }
 
-fs::path LibraryStore::model_path(const std::string& n) const {
-  return root_ / "models" / (n + ".ppmodel");
-}
-fs::path LibraryStore::design_path(const std::string& n) const {
-  return root_ / "designs" / (n + ".ppdesign");
-}
-fs::path LibraryStore::user_path(const std::string& n) const {
-  return root_ / "users" / (n + ".ppuser");
-}
-
-fs::path LibraryStore::path_for(const std::string& kind,
+fs::path LibraryStore::path_for(EntryKind kind,
                                 const std::string& name) const {
-  for (const KindLayout& layout : kKinds) {
-    if (kind == layout.kind) {
-      return root_ / layout.dir / (name + layout.extension);
-    }
-  }
-  throw FormatError("unknown journal record kind '" + kind + "'");
+  const KindLayout& layout = layout_of(kind);
+  return root_ / layout.dir / (name + layout.extension);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,11 +216,18 @@ void LibraryStore::commit(const JournalRecord& record) {
 }
 
 void LibraryStore::apply(const JournalRecord& record) {
-  const fs::path path = path_for(record.kind, record.name);
+  // The catalog moves on the side of the file change that makes a
+  // concurrent reader's recorded stamp stale early, never late: a new
+  // stamp only once the new bytes are in place, and an entry leaves
+  // the catalog before its file goes.
+  const EntryKind kind = entry_kind(record.kind);
+  const fs::path path = path_for(kind, record.name);
   if (record.op == JournalRecord::Op::kPut) {
     atomic_write_file(path, with_checksum_footer(record.contents));
     counters_->snapshot_writes.fetch_add(1);
+    catalog_->put(kind, record.name);
   } else {
+    catalog_->erase(kind, record.name);
     std::error_code ec;
     fs::remove(path, ec);  // absent already = idempotent replay
     fsync_dir(path.parent_path());
@@ -260,10 +254,12 @@ void LibraryStore::quarantine(const fs::path& path, bool copy) const {
 }
 
 std::optional<std::string> LibraryStore::read_verified(
-    const fs::path& path) const {
+    EntryKind kind, const std::string& name) const {
+  const fs::path path = path_for(kind, name);
   const std::string raw = read_file(path);
   std::string contents;
   if (verify_snapshot(raw, &contents) != SnapshotState::kOk) {
+    catalog_->erase(kind, name);
     quarantine(path);
     return std::nullopt;
   }
@@ -272,7 +268,8 @@ std::optional<std::string> LibraryStore::read_verified(
 
 void LibraryStore::recover() {
   // 1. Sweep the materialized trees: drop stale temp files, verify
-  //    every snapshot's footer, quarantine what fails.
+  //    every snapshot's footer, quarantine what fails and catalog the
+  //    rest.
   for (const KindLayout& layout : kKinds) {
     const fs::path dir = root_ / layout.dir;
     std::vector<fs::path> entries;
@@ -286,7 +283,9 @@ void LibraryStore::recover() {
         continue;
       }
       if (path.extension() != layout.extension) continue;
-      if (verify_snapshot(read_file(path), nullptr) != SnapshotState::kOk) {
+      if (verify_snapshot(read_file(path), nullptr) == SnapshotState::kOk) {
+        catalog_->put(layout.entry, path.stem().string());
+      } else {
         quarantine(path);
       }
     }
@@ -419,10 +418,8 @@ ReplSnapshot LibraryStore::export_replication_snapshot() {
   snapshot.epoch = journal_->epoch();
   snapshot.seq = journal_->last_seq();
   for (const KindLayout& layout : kKinds) {
-    for (const std::string& name :
-         list_stems(root_ / layout.dir, layout.extension)) {
-      const auto contents =
-          read_verified(root_ / layout.dir / (name + layout.extension));
+    for (const std::string& name : catalog_->names(layout.entry)) {
+      const auto contents = read_verified(layout.entry, name);
       if (!contents) continue;  // corrupt: quarantined, not shipped
       JournalRecord entry;
       entry.op = JournalRecord::Op::kPut;
@@ -489,11 +486,11 @@ void LibraryStore::install_replication_snapshot(const ReplSnapshot& snapshot) {
   // Replace the materialized trees wholesale (entries absent from the
   // snapshot must not survive).
   for (const KindLayout& layout : kKinds) {
-    const fs::path dir = root_ / layout.dir;
-    for (const std::string& name : list_stems(dir, layout.extension)) {
-      fs::remove(dir / (name + layout.extension), ec);
+    for (const std::string& name : catalog_->names(layout.entry)) {
+      catalog_->erase(layout.entry, name);
+      fs::remove(path_for(layout.entry, name), ec);
     }
-    fsync_dir(dir);
+    fsync_dir(root_ / layout.dir);
   }
   for (const JournalRecord& entry : snapshot.entries) {
     apply(entry);
@@ -535,22 +532,20 @@ void LibraryStore::save_model(const model::UserModelDefinition& def,
 std::optional<model::UserModelDefinition> LibraryStore::load_model(
     const std::string& name) const {
   validate_store_name(name);
-  const fs::path path = model_path(name);
-  if (!fs::exists(path)) return std::nullopt;
-  const auto text = read_verified(path);
+  if (!catalog_->contains(EntryKind::kModel, name)) return std::nullopt;
+  const auto text = read_verified(EntryKind::kModel, name);
   if (!text) return std::nullopt;  // corrupt: quarantined, reported absent
   return parse_user_model(*text);
 }
 
 std::vector<std::string> LibraryStore::list_models() const {
-  return list_stems(root_ / "models", ".ppmodel");
+  return catalog_->names(EntryKind::kModel);
 }
 
 bool LibraryStore::is_proprietary(const std::string& name) const {
   validate_store_name(name);
-  const fs::path path = model_path(name);
-  if (!fs::exists(path)) return false;
-  const std::string text = read_file(path);
+  if (!catalog_->contains(EntryKind::kModel, name)) return false;
+  const std::string text = read_file(path_for(EntryKind::kModel, name));
   return text.rfind("# proprietary\n", 0) == 0;
 }
 
@@ -564,21 +559,21 @@ void LibraryStore::load_all_models(model::ModelRegistry& registry) const {
 
 bool LibraryStore::remove_model(const std::string& name) {
   validate_store_name(name);
-  if (!fs::exists(model_path(name))) return false;
+  if (!catalog_->contains(EntryKind::kModel, name)) return false;
   commit({JournalRecord::Op::kDelete, "model", name, ""});
   return true;
 }
 
 bool LibraryStore::remove_design(const std::string& name) {
   validate_store_name(name);
-  if (!fs::exists(design_path(name))) return false;
+  if (!catalog_->contains(EntryKind::kDesign, name)) return false;
   commit({JournalRecord::Op::kDelete, "design", name, ""});
   return true;
 }
 
 bool LibraryStore::remove_user(const std::string& username) {
   validate_store_name(username);
-  if (!fs::exists(user_path(username))) return false;
+  if (!catalog_->contains(EntryKind::kUser, username)) return false;
   commit({JournalRecord::Op::kDelete, "user", username, ""});
   return true;
 }
@@ -595,7 +590,7 @@ void LibraryStore::save_design(const sheet::Design& design) {
 
 bool LibraryStore::has_design(const std::string& name) const {
   validate_store_name(name);
-  return fs::exists(design_path(name));
+  return catalog_->contains(EntryKind::kDesign, name);
 }
 
 std::shared_ptr<const sheet::Design> LibraryStore::load_design(
@@ -614,11 +609,10 @@ std::shared_ptr<const sheet::Design> LibraryStore::load_design_rec(
     for (const std::string& n : in_flight) cycle += n + " -> ";
     throw FormatError("design reference cycle: " + cycle + name);
   }
-  const fs::path path = design_path(name);
-  if (!fs::exists(path)) {
+  if (!catalog_->contains(EntryKind::kDesign, name)) {
     throw FormatError("no stored design named '" + name + "'");
   }
-  const auto text = read_verified(path);
+  const auto text = read_verified(EntryKind::kDesign, name);
   if (!text) {
     throw FormatError("stored design '" + name +
                       "' was corrupt and has been quarantined");
@@ -634,7 +628,7 @@ std::shared_ptr<const sheet::Design> LibraryStore::load_design_rec(
 }
 
 std::vector<std::string> LibraryStore::list_designs() const {
-  return list_stems(root_ / "designs", ".ppdesign");
+  return catalog_->names(EntryKind::kDesign);
 }
 
 void LibraryStore::save_user(const UserProfile& profile) {
@@ -646,9 +640,8 @@ void LibraryStore::save_user(const UserProfile& profile) {
 std::optional<UserProfile> LibraryStore::load_user(
     const std::string& username) const {
   validate_store_name(username);
-  const fs::path path = user_path(username);
-  if (!fs::exists(path)) return std::nullopt;
-  const auto text = read_verified(path);
+  if (!catalog_->contains(EntryKind::kUser, username)) return std::nullopt;
+  const auto text = read_verified(EntryKind::kUser, username);
   if (!text) return std::nullopt;
   return parse_user_profile(*text);
 }
@@ -668,7 +661,7 @@ UserProfile LibraryStore::ensure_user(const std::string& username) {
 }
 
 std::vector<std::string> LibraryStore::list_users() const {
-  return list_stems(root_ / "users", ".ppuser");
+  return catalog_->names(EntryKind::kUser);
 }
 
 // ---------------------------------------------------------------------------

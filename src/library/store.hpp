@@ -22,6 +22,12 @@
 // compacted.  A crash at any write boundary therefore loses nothing
 // that was acknowledged, and a torn file is never visible at a final
 // path nor silently served.
+//
+// Which entries exist is answered from memory: recovery builds a
+// Catalog (catalog.hpp) from the snapshots it verifies, and every
+// apply() of a record — commit, replay, replicated apply, snapshot
+// install — keeps it current.  Existence checks and listings never
+// touch the filesystem; only reading an entry's contents does.
 #pragma once
 
 #include <atomic>
@@ -36,9 +42,11 @@
 #include <string>
 #include <vector>
 
+#include "library/catalog.hpp"
 #include "library/journal.hpp"
 #include "library/replica.hpp"
 #include "library/serialize.hpp"
+#include "library/textio.hpp"
 #include "model/registry.hpp"
 #include "sheet/design.hpp"
 
@@ -148,6 +156,10 @@ class LibraryStore {
   [[nodiscard]] std::uint64_t revision() const {
     return counters_->revision.load();
   }
+  /// The per-entry stamps behind every existence check and listing.  A
+  /// ReadScope over it records what a render read; Catalog::current
+  /// tells whether any of that has changed since.
+  [[nodiscard]] const Catalog& catalog() const { return *catalog_; }
   /// Graceful shutdown: compact (rotate) the journal so the next open
   /// replays nothing.  Safe to call at any quiesced point.
   void flush();
@@ -234,17 +246,14 @@ class LibraryStore {
     std::atomic<std::uint64_t> quarantined_files{0};
   };
 
-  [[nodiscard]] std::filesystem::path model_path(const std::string& n) const;
-  [[nodiscard]] std::filesystem::path design_path(const std::string& n) const;
-  [[nodiscard]] std::filesystem::path user_path(const std::string& n) const;
-  [[nodiscard]] std::filesystem::path path_for(const std::string& kind,
+  [[nodiscard]] std::filesystem::path path_for(EntryKind kind,
                                                const std::string& name) const;
 
   /// The write path: journal append + fsync (ack), then materialize,
   /// then rotate the journal if it outgrew the threshold.
   void commit(const JournalRecord& record);
   /// Materialize one record: atomic snapshot write (with checksum
-  /// footer) or durable removal.
+  /// footer) or durable removal, and the matching catalog update.
   void apply(const JournalRecord& record);
   /// Startup crash recovery (see class comment).
   void recover();
@@ -252,10 +261,10 @@ class LibraryStore {
   /// `copy` the original stays in place (used for the journal, whose
   /// descriptor is open).
   void quarantine(const std::filesystem::path& path, bool copy = false) const;
-  /// Read + checksum-verify a snapshot; corrupt files are quarantined
-  /// and reported as nullopt.
+  /// Read + checksum-verify an entry's snapshot; a corrupt file is
+  /// quarantined, dropped from the catalog and reported as nullopt.
   [[nodiscard]] std::optional<std::string> read_verified(
-      const std::filesystem::path& path) const;
+      EntryKind kind, const std::string& name) const;
 
   std::shared_ptr<const sheet::Design> load_design_rec(
       const std::string& name, const model::ModelRegistry& lib,
@@ -275,6 +284,9 @@ class LibraryStore {
   StoreOptions options_;
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<Counters> counters_;
+  /// Heap-held so the store stays movable; const reads quarantine
+  /// through it.
+  std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<CommitSignal> signal_;
   /// Serializes commit()/flush(): rotation must never run between
   /// another thread's journal append and its apply() — the tail it
@@ -322,8 +334,15 @@ struct FsckReport {
 
 FsckReport fsck_store(const std::filesystem::path& root);
 
+/// A name that cannot name a store entry.  A FormatError, so store
+/// callers need not tell it apart; the web app answers it with 400.
+class BadStoreName : public FormatError {
+ public:
+  using FormatError::FormatError;
+};
+
 /// Validate a name destined for a filename: nonempty, no path
-/// separators, no leading dot.  Throws FormatError otherwise.
+/// separators, no leading dot.  Throws BadStoreName otherwise.
 void validate_store_name(const std::string& name);
 
 }  // namespace powerplay::library

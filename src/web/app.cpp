@@ -8,7 +8,6 @@
 #include <string_view>
 #include <variant>
 
-#include "engine/fingerprint.hpp"
 #include "explore/inverse.hpp"
 #include "explore/mc.hpp"
 #include "explore/pareto.hpp"
@@ -122,51 +121,48 @@ struct PowerPlayApp::Route {
   std::string_view path;
   Lock lock;
   Follower follower;
-  /// GET rows whose bytes depend only on the library and the query, so
-  /// they are response-cached keyed by (path, canonical query, revision).
+  /// GET rows whose bytes depend only on the query, the registry and
+  /// the store entries the render reads, so they are response-cached
+  /// by (path, canonical query) and served while those entries hold.
   bool cached;
-  /// The query field naming the one design a cached page depends on
-  /// (empty: none).  Such entries are revalidated by the design's
-  /// fingerprint when an unrelated commit bumps the revision.
-  std::string_view design;
   std::variant<Page, UserPage> handler;
 };
 
 // clang-format off
 const PowerPlayApp::Route PowerPlayApp::kRoutes[] = {
-  // {method, path, lock, follower, cached, design, handler}
-  {"GET",  "/healthz",        kShared,    kServe,       false,  "",     &PowerPlayApp::page_healthz},
-  {"GET",  "/",               kShared,    kServe,       true,   "",     &PowerPlayApp::page_root},
-  {"GET",  "/menu",           kShared,    kServe,       true,   "",     &PowerPlayApp::page_menu},
-  {"GET",  "/library",        kShared,    kServe,       true,   "",     &PowerPlayApp::page_library},
-  {"GET",  "/model",          kShared,    kServe,       true,   "",     &PowerPlayApp::page_model},
-  {"GET",  "/doc",            kShared,    kServe,       true,   "",     &PowerPlayApp::page_doc},
-  {"GET",  "/agent",          kShared,    kServe,       true,   "",     &PowerPlayApp::page_agent},
-  {"GET",  "/help",           kShared,    kServe,       true,   "",     &PowerPlayApp::page_help},
-  {"GET",  "/design",         kShared,    kServe,       true,   "name", &PowerPlayApp::page_design},
-  {"GET",  "/design/csv",     kShared,    kServe,       true,   "name", &PowerPlayApp::design_csv},
-  {"POST", "/design/add",     kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_add},
-  {"POST", "/design/play",    kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_play},
-  {"POST", "/design/setrow",  kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_design_setrow},
-  {"POST", "/design/sweep",   kShared,    kServe,       false,  "",     &PowerPlayApp::do_design_sweep},
-  {"POST", "/design/explore", kShared,    kRedirectFit, false,  "",     &PowerPlayApp::do_design_explore},
-  {"GET",  "/job",            kShared,    kServe,       false,  "",     &PowerPlayApp::page_job},
-  {"GET",  "/jobs",           kShared,    kServe,       false,  "",     &PowerPlayApp::page_jobs},
-  {"POST", "/job/cancel",     kShared,    kServe,       false,  "",     &PowerPlayApp::do_job_cancel},
-  {"GET",  "/newmodel",       kShared,    kServe,       true,   "",     &PowerPlayApp::page_new_model},
-  {"POST", "/newmodel",       kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_new_model},
-  {"POST", "/setpw",          kExclusive, kRedirect,    false,  "",     &PowerPlayApp::do_set_password},
-  {"GET",  "/api/models",     kShared,    kServe,       true,   "",     &PowerPlayApp::api_models},
-  {"GET",  "/api/model",      kShared,    kServe,       true,   "",     &PowerPlayApp::api_model},
-  {"GET",  "/api/designs",    kShared,    kServe,       true,   "",     &PowerPlayApp::api_designs},
-  {"GET",  "/api/design",     kShared,    kServe,       true,   "name", &PowerPlayApp::api_design},
-  {"GET",  "/repl/snapshot",  kUnlocked,  kServe,       false,  "",     &PowerPlayApp::repl_snapshot},
-  {"GET",  "/repl/journal",   kUnlocked,  kServe,       false,  "",     &PowerPlayApp::repl_journal},
-  {"POST", "/repl/promote",   kUnlocked,  kServe,       false,  "",     &PowerPlayApp::do_repl_promote},
-  {"GET",  "/fed/models",     kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_models},
-  {"GET",  "/fed/model",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_model},
-  {"GET",  "/fed/hosts",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::fed_hosts_page},
-  {"POST", "/fed/hosts",      kUnlocked,  kServe,       false,  "",     &PowerPlayApp::do_fed_hosts},
+  // {method, path, lock, follower, cached, handler}
+  {"GET",  "/healthz",        kShared,    kServe,       false, &PowerPlayApp::page_healthz},
+  {"GET",  "/",               kShared,    kServe,       true,  &PowerPlayApp::page_root},
+  {"GET",  "/menu",           kShared,    kServe,       true,  &PowerPlayApp::page_menu},
+  {"GET",  "/library",        kShared,    kServe,       true,  &PowerPlayApp::page_library},
+  {"GET",  "/model",          kShared,    kServe,       true,  &PowerPlayApp::page_model},
+  {"GET",  "/doc",            kShared,    kServe,       true,  &PowerPlayApp::page_doc},
+  {"GET",  "/agent",          kShared,    kServe,       true,  &PowerPlayApp::page_agent},
+  {"GET",  "/help",           kShared,    kServe,       true,  &PowerPlayApp::page_help},
+  {"GET",  "/design",         kShared,    kServe,       true,  &PowerPlayApp::page_design},
+  {"GET",  "/design/csv",     kShared,    kServe,       true,  &PowerPlayApp::design_csv},
+  {"POST", "/design/add",     kExclusive, kRedirect,    false, &PowerPlayApp::do_design_add},
+  {"POST", "/design/play",    kExclusive, kRedirect,    false, &PowerPlayApp::do_design_play},
+  {"POST", "/design/setrow",  kExclusive, kRedirect,    false, &PowerPlayApp::do_design_setrow},
+  {"POST", "/design/sweep",   kShared,    kServe,       false, &PowerPlayApp::do_design_sweep},
+  {"POST", "/design/explore", kShared,    kRedirectFit, false, &PowerPlayApp::do_design_explore},
+  {"GET",  "/job",            kShared,    kServe,       false, &PowerPlayApp::page_job},
+  {"GET",  "/jobs",           kShared,    kServe,       false, &PowerPlayApp::page_jobs},
+  {"POST", "/job/cancel",     kShared,    kServe,       false, &PowerPlayApp::do_job_cancel},
+  {"GET",  "/newmodel",       kShared,    kServe,       true,  &PowerPlayApp::page_new_model},
+  {"POST", "/newmodel",       kExclusive, kRedirect,    false, &PowerPlayApp::do_new_model},
+  {"POST", "/setpw",          kExclusive, kRedirect,    false, &PowerPlayApp::do_set_password},
+  {"GET",  "/api/models",     kShared,    kServe,       true,  &PowerPlayApp::api_models},
+  {"GET",  "/api/model",      kShared,    kServe,       true,  &PowerPlayApp::api_model},
+  {"GET",  "/api/designs",    kShared,    kServe,       true,  &PowerPlayApp::api_designs},
+  {"GET",  "/api/design",     kShared,    kServe,       true,  &PowerPlayApp::api_design},
+  {"GET",  "/repl/snapshot",  kUnlocked,  kServe,       false, &PowerPlayApp::repl_snapshot},
+  {"GET",  "/repl/journal",   kUnlocked,  kServe,       false, &PowerPlayApp::repl_journal},
+  {"POST", "/repl/promote",   kUnlocked,  kServe,       false, &PowerPlayApp::do_repl_promote},
+  {"GET",  "/fed/models",     kUnlocked,  kServe,       false, &PowerPlayApp::fed_models},
+  {"GET",  "/fed/model",      kUnlocked,  kServe,       false, &PowerPlayApp::fed_model},
+  {"GET",  "/fed/hosts",      kUnlocked,  kServe,       false, &PowerPlayApp::fed_hosts_page},
+  {"POST", "/fed/hosts",      kUnlocked,  kServe,       false, &PowerPlayApp::do_fed_hosts},
 };
 // clang-format on
 
@@ -219,14 +215,23 @@ void PowerPlayApp::shutdown() {
 }
 
 Response PowerPlayApp::handle(const Request& request) {
+  if (request.method != "HEAD") return dispatch(request, request.method);
+  // HEAD runs the GET row, response cache included; the reply keeps the
+  // GET's status, headers and Content-Length but carries no body bytes.
+  Response response = dispatch(request, "GET");
+  response.head_only = true;
+  return response;
+}
+
+Response PowerPlayApp::dispatch(const Request& request,
+                                std::string_view method) {
   Target target = request.parsed_target();
   const Params q = request.all_params(std::move(target.query));
   try {
     const Route* route =
         std::find_if(std::begin(kRoutes), std::end(kRoutes),
                      [&](const Route& row) {
-                       return row.path == target.path &&
-                              row.method == request.method;
+                       return row.path == target.path && row.method == method;
                      });
     if (route == std::end(kRoutes)) {
       std::string allow;
@@ -234,6 +239,7 @@ Response PowerPlayApp::handle(const Request& request) {
         if (row.path != target.path) continue;
         if (!allow.empty()) allow += ", ";
         allow += row.method;
+        if (row.method == "GET") allow += ", HEAD";
       }
       return allow.empty() ? Response::not_found(target.path)
                            : Response::method_not_allowed(allow);
@@ -280,6 +286,8 @@ Response PowerPlayApp::handle(const Request& request) {
     return r;
   } catch (const HttpError& e) {
     return Response::bad_request(e.what());
+  } catch (const library::BadStoreName& e) {
+    return Response::bad_request(e.what());
   } catch (const expr::ExprError& e) {
     // User-facing input problems (unknown model, bad parameter value,
     // unparsable formula) rather than server faults.
@@ -299,46 +307,29 @@ Response PowerPlayApp::run(const Route& route, const Params& q) {
 
 // The cached-GET fast path.  Runs under the shared library lock, so no
 // writing route interleaves; on a follower, applied replication records
-// can still advance the store revision concurrently, which is why the
-// revision is read *before* rendering — a commit that lands mid-render
-// invalidates the entry instead of being masked by it.
+// can still land concurrently.  Every stamp in the read set was read
+// before the bytes it covers, so such a record makes the new entry
+// stale at once rather than letting it mask the change.
 Response PowerPlayApp::serve_cached(const Route& route, const Request& request,
                                     const std::string& path, const Params& q) {
   const std::string key = path + '?' + to_query(q);
   const std::uint64_t revision = store_.revision();
   const std::uint64_t model_rev = model_revision_.load();
+  const library::Catalog& catalog = store_.catalog();
 
-  if (auto entry = cache_->find(key);
-      entry.has_value() && entry->model_revision == model_rev) {
-    bool current = entry->revision == revision;
-    if (!current && !entry->design.empty()) {
-      // Some commit happened, but perhaps not to this page's design:
-      // compare content fingerprints before paying for a re-render.
-      try {
-        if (store_.has_design(entry->design)) {
-          const auto design = store_.load_design(entry->design, registry_);
-          if (engine::fingerprint(*design) == entry->design_fp) {
-            cache_->refresh(key, revision);
-            cache_->count_revalidation();
-            current = true;
-          }
-        }
-      } catch (const std::exception&) {
-        // Unresolvable design (e.g. broken macro reference): fall
-        // through and let the render path produce the error page.
-      }
+  if (const auto entry = cache_->find(key);
+      entry != nullptr && entry->model_revision == model_rev &&
+      catalog.current(entry->reads)) {
+    cache_->count_hit(/*after_commit=*/entry->revision != revision);
+    if (if_none_match(request, entry->etag)) {
+      cache_->count_not_modified();
+      return Response::not_modified(entry->etag);
     }
-    if (current) {
-      cache_->count_hit();
-      if (if_none_match(request, entry->etag)) {
-        cache_->count_not_modified();
-        return Response::not_modified(entry->etag);
-      }
-      return entry->response;
-    }
+    return entry->response;
   }
 
   cache_->count_miss();
+  library::ReadScope reads(catalog);
   Response response = run(route, q);
   if (response.status != 200) return response;
 
@@ -349,20 +340,7 @@ Response PowerPlayApp::serve_cached(const Route& route, const Request& request,
   entry.etag = etag;
   entry.revision = revision;
   entry.model_revision = model_rev;
-  entry.design =
-      route.design.empty() ? "" : get_or(q, std::string(route.design));
-  if (!entry.design.empty()) {
-    try {
-      if (store_.has_design(entry.design)) {
-        entry.design_fp = engine::fingerprint(
-            *store_.load_design(entry.design, registry_));
-      } else {
-        entry.design.clear();  // fall back to plain revision keying
-      }
-    } catch (const std::exception&) {
-      entry.design.clear();
-    }
-  }
+  entry.reads = reads.take();
   entry.response = response;
   cache_->insert(key, std::move(entry));
 
@@ -1682,9 +1660,9 @@ Response PowerPlayApp::do_new_model(UserProfile profile, const Params& q) {
   const bool proprietary = get_or(q, "proprietary", "0") == "1";
   store_.save_model(def, proprietary);
   registry_.add_or_replace(std::move(user_model));
-  // A redefinition changes Play results without changing any design's
-  // fingerprint; bump the registry generation so cached pages rendered
-  // against the old definition can't revalidate.
+  // A redefinition changes Play results without changing any stored
+  // design; bump the registry generation so cached pages rendered
+  // against the old definition are not served again.
   model_revision_.fetch_add(1);
 
   HtmlPage page("Model created");

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <string_view>
 
 #include "engine/engine.hpp"
 #include "engine/job.hpp"
@@ -64,6 +65,7 @@ class PowerPlayApp {
 
   /// Dispatch one request through the route table: 404 for an unknown
   /// path, 405 (with Allow) for a known path asked with another method.
+  /// HEAD is served wherever GET is, without the body bytes.
   /// Thread-safe: requests for distinct users run concurrently; only
   /// library writes take the exclusive lock.
   Response handle(const Request& request);
@@ -199,8 +201,12 @@ class PowerPlayApp {
   /// the user's profile.
   Response run(const Route& route, const Params& q);
 
-  /// The cached-GET fast path for a cached row: revision-checked lookup,
-  /// fingerprint revalidation, If-None-Match handling, and fill-on-miss.
+  /// handle() for `method` (a HEAD is dispatched as its GET).
+  Response dispatch(const Request& request, std::string_view method);
+
+  /// The cached-GET fast path for a cached row: lookup checked against
+  /// the registry generation and the entry's read set, If-None-Match
+  /// handling, and fill-on-miss recording the render's read set.
   Response serve_cached(const Route& route, const Request& request,
                         const std::string& path, const Params& q);
 
@@ -234,8 +240,8 @@ class PowerPlayApp {
   /// Rendered-GET cache (null when AppOptions::response_cache is off).
   std::unique_ptr<ResponseCache> cache_;
   /// Registry generation: bumped when a model definition is (re)saved.
-  /// A redefinition changes Play results without changing any design's
-  /// fingerprint, so cached design pages must key on this too.
+  /// A redefinition changes Play results without changing any stored
+  /// design, so cached pages must key on this too.
   std::atomic<std::uint64_t> model_revision_{1};
 
   // Exploration counters for /healthz.  surrogate_hits_total_ is bumped

@@ -7,33 +7,28 @@ namespace powerplay::web {
 ResponseCache::ResponseCache(ResponseCacheOptions options)
     : options_(options) {}
 
-std::optional<ResponseCache::Entry> ResponseCache::find(
+std::shared_ptr<const ResponseCache::Entry> ResponseCache::find(
     const std::string& key) {
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
+  if (it == entries_.end()) return nullptr;
   order_.splice(order_.begin(), order_, it->second.lru);  // touch
   return it->second.entry;
 }
 
-void ResponseCache::refresh(const std::string& key, std::uint64_t revision) {
-  std::lock_guard lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) it->second.entry.revision = revision;
-}
-
 void ResponseCache::insert(const std::string& key, Entry entry) {
   const std::size_t size = entry.response.body.size();
-  std::lock_guard lock(mutex_);
   if (options_.max_entries == 0 || size > options_.max_bytes) return;
+  auto shared = std::make_shared<const Entry>(std::move(entry));
+  std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    bytes_ -= it->second.entry.response.body.size();
+    bytes_ -= it->second.entry->response.body.size();
     order_.erase(it->second.lru);
     entries_.erase(it);
   }
   order_.push_front(key);
-  entries_.emplace(key, Slot{std::move(entry), order_.begin()});
+  entries_.emplace(key, Slot{std::move(shared), order_.begin()});
   bytes_ += size;
   insertions_ += 1;
   evict_locked();
@@ -44,7 +39,7 @@ void ResponseCache::evict_locked() {
                              bytes_ > options_.max_bytes)) {
     const std::string& victim = order_.back();
     auto it = entries_.find(victim);
-    bytes_ -= it->second.entry.response.body.size();
+    bytes_ -= it->second.entry->response.body.size();
     entries_.erase(it);
     order_.pop_back();
     evictions_ += 1;
@@ -59,31 +54,25 @@ std::string ResponseCache::make_etag(const Response& response) {
   return '"' + engine::fingerprint_hex(h.digest()) + '"';
 }
 
-void ResponseCache::count_hit() {
-  std::lock_guard lock(mutex_);
-  hits_ += 1;
+void ResponseCache::count_hit(bool after_commit) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (after_commit) revalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 void ResponseCache::count_miss() {
-  std::lock_guard lock(mutex_);
-  misses_ += 1;
-}
-void ResponseCache::count_revalidation() {
-  std::lock_guard lock(mutex_);
-  revalidations_ += 1;
+  misses_.fetch_add(1, std::memory_order_relaxed);
 }
 void ResponseCache::count_not_modified() {
-  std::lock_guard lock(mutex_);
-  not_modified_ += 1;
+  not_modified_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ResponseCacheStats ResponseCache::stats() const {
   std::lock_guard lock(mutex_);
   ResponseCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_;
-  s.revalidations = revalidations_;
-  s.not_modified = not_modified_;
+  s.revalidations = revalidations_.load(std::memory_order_relaxed);
+  s.not_modified = not_modified_.load(std::memory_order_relaxed);
   s.evictions = evictions_;
   s.entries = entries_.size();
   s.bytes = bytes_;

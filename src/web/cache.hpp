@@ -1,17 +1,18 @@
-// cache.hpp — fingerprint-keyed cache of rendered GET responses.
+// cache.hpp — rendered GET responses, valid while what they read holds.
 //
 // The serving hot loop used to re-load, re-Play and re-render a design
 // page on every hit.  This cache keys each cacheable GET by its route +
-// canonical query and remembers the library revision (and, for
-// design-scoped pages, the design's content fingerprint) it was
-// rendered at:
+// canonical query and remembers what the render depended on:
 //
-//   - revision match            → serve the cached bytes outright;
-//   - revision mismatch, but a design-scoped entry whose design still
-//     fingerprints identically  → the commit touched something else;
-//     refresh the entry's revision instead of re-rendering (the app
-//     performs the fingerprint check — it owns the store);
-//   - otherwise                 → re-render and replace.
+//   - the registry generation (model definitions the page may use);
+//   - its read set: every store entry the render read, each with the
+//     per-entry stamp it had (library/catalog.hpp), absences and
+//     listings included.
+//
+// An entry is served while the generation is unchanged and every stamp
+// in its read set is still current, so a commit re-renders exactly the
+// pages that read what it changed; any other page stays a hit.  Nothing
+// is loaded or fingerprinted to decide.
 //
 // Every cached 200 carries a strong ETag (FNV-1a over status, media
 // type and body), so a client that presents If-None-Match gets a 304
@@ -19,13 +20,15 @@
 // total body bytes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "library/catalog.hpp"
 #include "web/http.hpp"
 
 namespace powerplay::web {
@@ -40,7 +43,9 @@ struct ResponseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;     ///< responses_cached
-  std::uint64_t revalidations = 0;  ///< refreshed via fingerprint match
+  /// Hits on an entry rendered before the latest commit: the store
+  /// moved on, but nothing the page read.
+  std::uint64_t revalidations = 0;
   std::uint64_t not_modified = 0;   ///< 304s answered from an ETag match
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
@@ -54,19 +59,14 @@ class ResponseCache {
     std::string etag;            ///< strong, quoted
     std::uint64_t revision = 0;  ///< library revision at render
     std::uint64_t model_revision = 0;  ///< registry generation at render
-    std::string design;          ///< design this page depends on, if any
-    std::uint64_t design_fp = 0; ///< fingerprint(design) at render
+    library::ReadSet reads;      ///< store entries the render read
   };
 
   explicit ResponseCache(ResponseCacheOptions options = {});
 
-  /// Copy of the entry under `key`, regardless of staleness (the caller
-  /// revalidates against the current revision/fingerprint).
-  [[nodiscard]] std::optional<Entry> find(const std::string& key);
-
-  /// Mark the entry current again after a successful fingerprint
-  /// revalidation (no re-render happened).
-  void refresh(const std::string& key, std::uint64_t revision);
+  /// The entry under `key` (null if none), regardless of staleness: the
+  /// caller checks it against the registry generation and the store.
+  [[nodiscard]] std::shared_ptr<const Entry> find(const std::string& key);
 
   void insert(const std::string& key, Entry entry);
 
@@ -75,9 +75,9 @@ class ResponseCache {
 
   // Stats hooks the app calls on its own cache decisions (hit / miss /
   // 304 are app-level outcomes; the cache only sees find/insert).
-  void count_hit();
+  /// `after_commit`: the entry predates the store's current revision.
+  void count_hit(bool after_commit);
   void count_miss();
-  void count_revalidation();
   void count_not_modified();
 
   [[nodiscard]] ResponseCacheStats stats() const;
@@ -90,17 +90,18 @@ class ResponseCache {
   /// LRU list of keys, most recent first; map values point into it.
   std::list<std::string> order_;
   struct Slot {
-    Entry entry;
+    std::shared_ptr<const Entry> entry;
     std::list<std::string>::iterator lru;
   };
   std::unordered_map<std::string, Slot> entries_;
   std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t insertions_ = 0;
-  std::uint64_t revalidations_ = 0;
-  std::uint64_t not_modified_ = 0;
   std::uint64_t evictions_ = 0;
+  // Outcome counters, bumped outside mutex_.
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> revalidations_{0};
+  std::atomic<std::uint64_t> not_modified_{0};
 };
 
 /// True when the request's If-None-Match header matches `etag` (exact

@@ -91,6 +91,7 @@ Response http_request(std::uint16_t port, const Request& request,
   const int fd = connect_with_deadline(port, connect_deadline);
   const Deadline deadline =
       Deadline::earlier(caller, Deadline::after(options.io_timeout));
+  const bool head = request.method == "HEAD";
   std::string wire;
   try {
     // One-shot: tell the server not to hold the connection open.
@@ -102,14 +103,14 @@ Response http_request(std::uint16_t port, const Request& request,
       write_all(fd, to_wire(oneshot), deadline);
     }
     ::shutdown(fd, SHUT_WR);
-    wire = read_http_message(fd, deadline);
+    wire = read_http_message(fd, deadline, head);
   } catch (...) {
     ::close(fd);
     throw;
   }
   ::close(fd);
   if (wire.empty()) throw HttpError("empty response");
-  return parse_response(wire);
+  return parse_response(wire, head);
 }
 
 HttpConnection::HttpConnection(std::uint16_t port, SocketOptions options)
@@ -143,10 +144,11 @@ void HttpConnection::close() {
 Response HttpConnection::roundtrip(const Request& request) {
   if (fd_ < 0) fd_ = connect_with_timeout(port_, options_.connect_timeout);
   const Deadline deadline = Deadline::after(options_.io_timeout);
+  const bool head = request.method == "HEAD";
   std::string wire;
   try {
     write_all(fd_, to_wire(request), deadline);
-    wire = read_http_message(fd_, deadline);
+    wire = read_http_message(fd_, deadline, head);
   } catch (...) {
     close();
     throw;
@@ -157,7 +159,7 @@ Response HttpConnection::roundtrip(const Request& request) {
     close();
     throw HttpError("connection closed by server");
   }
-  const Response response = parse_response(wire);
+  const Response response = parse_response(wire, head);
   auto conn = response.headers.find("connection");
   if (conn != response.headers.end() && conn->second == "close") close();
   return response;

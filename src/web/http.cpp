@@ -241,7 +241,7 @@ std::string to_wire(const Response& response) {
   // One contiguous buffer: the server sends the whole response with a
   // single write_all, never a syscall per header.
   std::string wire;
-  wire.reserve(192 + response.body.size());
+  wire.reserve(192 + (response.head_only ? 0 : response.body.size()));
   wire += "HTTP/1.1 ";
   wire += std::to_string(response.status);
   wire += ' ';
@@ -264,7 +264,7 @@ std::string to_wire(const Response& response) {
     wire += "\r\n";
   }
   wire += "\r\n";
-  wire += response.body;
+  if (!response.head_only) wire += response.body;
   return wire;
 }
 
@@ -284,7 +284,7 @@ Request parse_request(const std::string& wire) {
                       : "truncated request");
 }
 
-Response parse_response(const std::string& wire) {
+Response parse_response(const std::string& wire, bool head) {
   const std::size_t head_end = wire.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     throw HttpError("truncated response (no header terminator)");
@@ -312,19 +312,21 @@ Response parse_response(const std::string& wire) {
     const std::size_t semi = ct->second.find(';');
     resp.content_type = trim(ct->second.substr(0, semi));
   }
-  const std::size_t want = content_length(resp.headers);
+  const std::size_t want = head ? 0 : content_length(resp.headers);
   const std::size_t have = wire.size() - (head_end + 4);
   if (have < want) throw HttpError("truncated response body");
   resp.body = wire.substr(head_end + 4, want);
   return resp;
 }
 
-std::optional<std::size_t> message_size(const std::string& partial) {
+std::optional<std::size_t> message_size(const std::string& partial,
+                                        bool head) {
   const std::size_t head_end = partial.find("\r\n\r\n");
   if (head_end == std::string::npos) return std::nullopt;
   const std::size_t line_end = partial.find("\r\n");
   Headers headers = parse_headers(partial, line_end + 2, head_end);
-  const std::size_t total = head_end + 4 + content_length(headers);
+  const std::size_t total =
+      head_end + 4 + (head ? 0 : content_length(headers));
   if (partial.size() < total) return std::nullopt;
   return total;
 }

@@ -138,6 +138,9 @@ struct Response {
   std::string content_type = "text/html";
   Headers headers;
   std::string body;
+  /// Answers a HEAD: to_wire sends the status and headers, with the
+  /// Content-Length of `body`, but none of the body's bytes.
+  bool head_only = false;
 
   static Response ok_html(std::string html);
   static Response ok_text(std::string text);
@@ -167,13 +170,16 @@ std::string to_wire(const Request& request);
 std::string to_wire(const Response& response);
 
 /// Parse a complete request/response from wire text.
-/// Throws HttpError on malformed input or truncated bodies.
+/// Throws HttpError on malformed input or truncated bodies.  A response
+/// to a HEAD (`head`) has no body, whatever its Content-Length says.
 Request parse_request(const std::string& wire);
-Response parse_response(const std::string& wire);
+Response parse_response(const std::string& wire, bool head = false);
 
 /// How many bytes of `partial` constitute a complete message, or nullopt
-/// if more data is needed.  Used by the socket readers.
-std::optional<std::size_t> message_size(const std::string& partial);
+/// if more data is needed.  Used by the socket readers; `head` frames a
+/// response to a HEAD at the end of its headers.
+std::optional<std::size_t> message_size(const std::string& partial,
+                                        bool head = false);
 
 /// Resumable request parser: feed it socket reads as they arrive; it
 /// yields complete requests one at a time and keeps any pipelined

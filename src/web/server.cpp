@@ -52,13 +52,15 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-std::string read_http_message(int fd, const Deadline& deadline) {
+std::string read_http_message(int fd, const Deadline& deadline, bool head) {
   std::string buffer;
   char chunk[4096];
   for (;;) {
     // Framing first: stop as soon as we hold one complete message.
     try {
-      if (auto size = message_size(buffer)) return buffer.substr(0, *size);
+      if (auto size = message_size(buffer, head)) {
+        return buffer.substr(0, *size);
+      }
     } catch (const HttpError&) {
       // Malformed headers; let the caller's parse produce the error.
       return buffer;

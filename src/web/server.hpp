@@ -158,11 +158,12 @@ class HttpServer {
 };
 
 /// Read one complete HTTP message from a connected socket (uses
-/// message_size() framing).  Returns empty string on EOF before any
-/// data.  Throws HttpTimeout once `deadline` expires; the default
-/// deadline never does.
+/// message_size() framing; `head` reads a response to a HEAD).  Returns
+/// empty string on EOF before any data.  Throws HttpTimeout once
+/// `deadline` expires; the default deadline never does.
 std::string read_http_message(int fd,
-                              const Deadline& deadline = Deadline::never());
+                              const Deadline& deadline = Deadline::never(),
+                              bool head = false);
 
 /// Write all bytes; throws HttpError on failure, HttpTimeout on
 /// deadline expiry.

@@ -5,6 +5,7 @@
 #include "library/textio.hpp"
 
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -358,6 +359,71 @@ TEST(Store, StudyDesignsRoundTripThroughStore) {
   auto back = store.load_design("InfoPad_System", lib());
   EXPECT_NEAR(back->play().total.total_power().si(),
               pad.play().total.total_power().si(), 1e-9);
+}
+
+// --- catalog ------------------------------------------------------------------
+
+// Every save gives its entry a fresh stamp and leaves the others alone;
+// only a new or removed name moves the listing.  A ReadScope records
+// exactly the stamps a read took, absences as 0.
+TEST(Catalog, StampsFollowSavesAndRemovals) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  const Catalog& catalog = store.catalog();
+  const sheet::Design lum = studies::make_luminance_impl2(lib());
+  store.save_design(lum);
+  const std::uint64_t lum_stamp =
+      catalog.stamp(EntryKind::kDesign, "Luminance_2");
+  EXPECT_NE(lum_stamp, 0u);
+
+  ReadSet reads;
+  {
+    ReadScope scope(catalog);
+    EXPECT_TRUE(store.has_design("Luminance_2"));
+    EXPECT_FALSE(store.has_design("Ghost"));
+    EXPECT_EQ(store.list_designs(), std::vector<std::string>{"Luminance_2"});
+    reads = scope.take();
+  }
+  ASSERT_EQ(reads.size(), 3u);
+  EXPECT_EQ(reads[0].name, "");  // the listing sorts first
+  EXPECT_EQ(reads[1], (EntryRead{EntryKind::kDesign, "Ghost", 0}));
+  EXPECT_EQ(reads[2],
+            (EntryRead{EntryKind::kDesign, "Luminance_2", lum_stamp}));
+  EXPECT_TRUE(catalog.current(reads));
+
+  store.save_user(default_profile("someone"));  // another kind: no effect
+  EXPECT_TRUE(catalog.current(reads));
+  store.save_design(lum);  // same name: new stamp, same listing
+  EXPECT_FALSE(catalog.current(reads));
+  EXPECT_TRUE(catalog.current({reads[0]}));
+  sheet::Design ghost("Ghost");
+  store.save_design(ghost);
+  EXPECT_FALSE(catalog.current({reads[0]}));
+  EXPECT_FALSE(catalog.current({reads[1]}));
+  ASSERT_TRUE(store.remove_design("Ghost"));
+  EXPECT_FALSE(store.has_design("Ghost"));
+  EXPECT_FALSE(store.remove_design("Ghost"));
+}
+
+// Recovery catalogs what it verifies; a snapshot found corrupt at read
+// time leaves the catalog with its quarantine.
+TEST(Catalog, BuiltAtRecoveryAndPrunedByQuarantine) {
+  TempDir tmp;
+  {
+    LibraryStore store(tmp.path);
+    store.save_design(studies::make_luminance_impl2(lib()));
+    store.save_design(sheet::Design("Other"));
+  }
+  LibraryStore store(tmp.path);
+  EXPECT_EQ(store.list_designs(),
+            (std::vector<std::string>{"Luminance_2", "Other"}));
+  std::ofstream(tmp.path / "designs" / "Other.ppdesign",
+                std::ios::binary | std::ios::trunc)
+      << "not a snapshot";
+  EXPECT_THROW((void)store.load_design("Other", lib()), FormatError);
+  EXPECT_FALSE(store.has_design("Other"));
+  EXPECT_EQ(store.list_designs(), std::vector<std::string>{"Luminance_2"});
+  EXPECT_EQ(store.durability().quarantined_files, 1u);
 }
 
 }  // namespace

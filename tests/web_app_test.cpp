@@ -380,6 +380,17 @@ TEST_F(AppFixture, PathTraversalRejected) {
   EXPECT_NE(get("/design?user=dl&name=..%2Fx").status, 200);
 }
 
+// A name that cannot name a store entry is the client's error: 400,
+// whichever page's store read rejects it.
+TEST_F(AppFixture, BadStoreNamesAreBadRequests) {
+  for (const char* target : {"/menu?user=..%2Fetc",
+                             "/design?user=u&name=..%2Fx",
+                             "/api/model?name=..%2Fx"}) {
+    const Response r = get(target);
+    EXPECT_EQ(r.status, 400) << target << "\n" << r.body;
+  }
+}
+
 // --- Play on the compiled plan ---------------------------------------------
 
 /// Same rows and globals under another name.
@@ -857,24 +868,314 @@ std::map<std::string, std::set<std::string>> documented_routes() {
 }
 
 // Methods are enforced: every (route, method) pair docs/WEB_API.md
-// documents is routed, and every other method on a documented route
-// answers 405.
+// documents is routed, HEAD wherever GET is, and every other method on
+// a documented route answers 405.
 TEST_F(AppFixture, DocumentedRoutesAndMethodsAreEnforced) {
   const auto routes = documented_routes();
   ASSERT_GE(routes.size(), 30u);
   for (const auto& [path, methods] : routes) {
-    for (const char* method : {"GET", "POST", "PUT", "DELETE"}) {
+    for (const char* method : {"GET", "HEAD", "POST", "PUT", "DELETE"}) {
       Request request;
       request.method = method;
       request.target = path;
       const Response r = http_request(server->port(), request);
-      if (methods.contains(method)) {
+      const bool routed =
+          methods.contains(method) ||
+          (std::string(method) == "HEAD" && methods.contains("GET"));
+      if (method == std::string("HEAD")) EXPECT_TRUE(r.body.empty()) << path;
+      if (routed) {
         EXPECT_NE(r.status, 404) << method << " " << path;
         EXPECT_NE(r.status, 405) << method << " " << path;
       } else {
         EXPECT_EQ(r.status, 405) << method << " " << path;
       }
     }
+  }
+}
+
+// HEAD answers the GET's status and headers, Content-Length included,
+// with no body bytes on the wire: the keep-alive connection frames the
+// next reply right after it.
+TEST_F(AppFixture, HeadAnswersTheGetWithoutTheBody) {
+  app->store().save_design(studies::make_luminance_impl2(app->registry()));
+  HttpConnection conn(server->port());
+  for (const char* target : {"/design?user=dl&name=Luminance_2",
+                             "/api/designs", "/menu?user=dl",
+                             "/design?user=dl&name=..%2Fx", "/nonsense"}) {
+    const Response got = get(target);
+    Request head;
+    head.method = "HEAD";
+    head.target = target;
+    const Response reply = conn.roundtrip(head);
+    EXPECT_EQ(reply.status, got.status) << target;
+    EXPECT_TRUE(reply.body.empty()) << target;
+    EXPECT_EQ(reply.headers.at("content-length"),
+              std::to_string(got.body.size()))
+        << target;
+    EXPECT_EQ(reply.content_type, got.content_type) << target;
+    if (got.headers.contains("etag")) {
+      EXPECT_EQ(reply.headers.at("etag"), got.headers.at("etag")) << target;
+    }
+    const Response next = conn.get(target);
+    EXPECT_EQ(next.status, got.status) << target;
+    EXPECT_EQ(next.body, got.body) << target;
+  }
+  // A POST-only route takes no HEAD; a GET route's Allow lists it.
+  Request head;
+  head.method = "HEAD";
+  head.target = "/design/play";
+  EXPECT_EQ(conn.roundtrip(head).status, 405);
+  Request put;
+  put.method = "PUT";
+  put.target = "/newmodel";
+  EXPECT_EQ(conn.roundtrip(put).headers.at("allow"), "GET, HEAD, POST");
+}
+
+// --- Response cache: a page stays cached until an entry it read moves ------
+
+/// One GET and whether the response cache served it.
+struct Served {
+  Response response;
+  bool hit = false;
+};
+
+/// GET `target` through `get` and judge hit or miss by the /healthz
+/// counters around it (/healthz itself is never cached).
+template <typename Get>
+Served served(const Get& get, const std::string& target) {
+  const auto counts = [&] {
+    const std::string body = get("/healthz").body;
+    return std::pair(healthz_counter(body, "response_cache_hits"),
+                     healthz_counter(body, "response_cache_misses"));
+  };
+  const auto [hits, misses] = counts();
+  Served out{get(target)};
+  const auto [hits_after, misses_after] = counts();
+  EXPECT_EQ(hits_after + misses_after, hits + misses + 1) << target;
+  out.hit = hits_after == hits + 1;
+  return out;
+}
+
+struct CacheFixture : AppFixture {
+  [[nodiscard]] Served served(const std::string& target) const {
+    return web::served([this](const std::string& t) { return get(t); },
+                       target);
+  }
+  [[nodiscard]] bool hit(const std::string& target) const {
+    return served(target).hit;
+  }
+};
+
+/// A two-level design: "TopChip" with the macro "SubBlock" of `rows`
+/// registers.
+sheet::Design top_chip(const model::ModelRegistry& reg, int rows) {
+  sheet::Design sub("SubBlock");
+  for (int i = 0; i < rows; ++i) {
+    sub.add_row("reg" + std::to_string(i), reg.find_shared("register"));
+  }
+  sheet::Design top("TopChip");
+  top.add_macro("Block", std::make_shared<const sheet::Design>(sub));
+  return top;
+}
+
+model::UserModelDefinition amp(const std::string& name) {
+  model::UserModelDefinition def;
+  def.name = name;
+  def.category = model::Category::kAnalog;
+  def.params = {{"i", "bias current", 1e-3, "A"}};
+  def.static_current = "i";
+  return def;
+}
+
+// A save that changes only a design's description re-renders both
+// pages that show it: the description is part of what they read.
+TEST_F(CacheFixture, DescriptionOnlySaveIsServedFresh) {
+  sheet::Design lum = studies::make_luminance_impl2(app->registry());
+  lum.set_description("first-description");
+  app->store().save_design(lum);
+  const std::vector<std::string> pages = {"/design?user=dl&name=Luminance_2",
+                                          "/api/design?name=Luminance_2"};
+  for (const std::string& page : pages) {
+    EXPECT_NE(get(page).body.find("first-description"), std::string::npos);
+    EXPECT_TRUE(hit(page)) << page;
+  }
+  lum.set_description("second-description");
+  app->store().save_design(lum);
+  for (const std::string& page : pages) {
+    const Served s = served(page);
+    EXPECT_FALSE(s.hit) << page;
+    EXPECT_NE(s.response.body.find("second-description"), std::string::npos)
+        << page;
+    EXPECT_EQ(s.response.body.find("first-description"), std::string::npos)
+        << page;
+  }
+}
+
+// A commit to another design, by another user, leaves every page that
+// did not read it a hit; those hits count as revalidations.
+TEST_F(CacheFixture, UnrelatedCommitKeepsPagesCached) {
+  app->store().save_design(studies::make_luminance_impl2(app->registry()));
+  library::UserProfile rd = library::default_profile("rd");
+  rd.designs = {"Luminance_2"};
+  app->store().save_user(rd);
+  const std::vector<std::string> pages = {
+      "/menu?user=rd",
+      "/library?user=rd",
+      "/model?user=rd&name=sram",
+      "/design?user=rd&name=Luminance_2",
+      "/design/csv?name=Luminance_2",
+      "/api/design?name=Luminance_2"};
+  for (const std::string& page : pages) EXPECT_FALSE(hit(page)) << page;
+  for (const std::string& page : pages) EXPECT_TRUE(hit(page)) << page;
+  const auto revalidations = [this] {
+    return healthz_counter(get("/healthz").body,
+                           "response_cache_revalidations");
+  };
+  EXPECT_EQ(revalidations(), 0u);
+  ASSERT_EQ(post("/design/add", {{"user", "other"},
+                                 {"model", "register"},
+                                 {"design", "Other"},
+                                 {"row", "R"}})
+                .status,
+            200);
+  for (const std::string& page : pages) EXPECT_TRUE(hit(page)) << page;
+  EXPECT_EQ(revalidations(), pages.size());
+}
+
+// A commit to a macro re-renders every page of a design that uses it.
+TEST_F(CacheFixture, MacroCommitRerendersItsUsers) {
+  const model::ModelRegistry& reg = app->registry();
+  app->store().save_design(top_chip(reg, 1));
+  const std::vector<std::string> pages = {"/design?user=dl&name=TopChip",
+                                          "/design/csv?name=TopChip",
+                                          "/api/design?name=TopChip"};
+  for (const std::string& page : pages) EXPECT_FALSE(hit(page)) << page;
+  for (const std::string& page : pages) EXPECT_TRUE(hit(page)) << page;
+  // Only the macro changes: TopChip's own entry keeps its stamp.
+  const auto sub = top_chip(reg, 2).rows().front().macro;
+  app->store().save_design(*sub);
+  for (const std::string& page : pages) EXPECT_FALSE(hit(page)) << page;
+  EXPECT_NE(get(pages[0]).body.find("reg1"), std::string::npos);
+  for (const std::string& page : pages) EXPECT_TRUE(hit(page)) << page;
+}
+
+// A page that found no design is cached as such, and re-renders once
+// the design exists.
+TEST_F(CacheFixture, AbsentDesignPageRerendersOnceCreated) {
+  const std::string page = "/design?user=dl&name=Fresh";
+  EXPECT_FALSE(hit(page));
+  const Served empty = served(page);
+  EXPECT_TRUE(empty.hit);
+  EXPECT_NE(empty.response.body.find("No rows yet"), std::string::npos);
+  ASSERT_EQ(post("/design/add", {{"user", "dl"},
+                                 {"model", "register"},
+                                 {"design", "Fresh"},
+                                 {"row", "R"}})
+                .status,
+            200);
+  const Served created = served(page);
+  EXPECT_FALSE(created.hit);
+  EXPECT_NE(created.response.body.find("TOTAL"), std::string::npos);
+  EXPECT_TRUE(hit(page));
+}
+
+// The listings follow adds and removals; re-saving a listed entry
+// leaves the listing cached.
+TEST_F(CacheFixture, ApiListingsFollowAddsAndRemoves) {
+  library::LibraryStore& store = app->store();
+  const sheet::Design lum = studies::make_luminance_impl2(app->registry());
+  store.save_design(lum);
+  EXPECT_EQ(served("/api/designs").response.body, "Luminance_2\n");
+  EXPECT_TRUE(hit("/api/designs"));
+  store.save_design(renamed(lum, "Luminance_3"));
+  Served s = served("/api/designs");
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.response.body, "Luminance_2\nLuminance_3\n");
+  store.save_design(lum);
+  EXPECT_TRUE(hit("/api/designs"));
+  ASSERT_TRUE(store.remove_design("Luminance_3"));
+  s = served("/api/designs");
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.response.body, "Luminance_2\n");
+
+  EXPECT_EQ(served("/api/models").response.body, "");
+  EXPECT_TRUE(hit("/api/models"));
+  store.save_model(amp("amp"));
+  s = served("/api/models");
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.response.body, "amp\n");
+  // Turning the model proprietary changes no name, but the page read
+  // the entry to filter it.
+  store.save_model(amp("amp"), /*proprietary=*/true);
+  s = served("/api/models");
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.response.body, "");
+  ASSERT_TRUE(store.remove_model("amp"));
+  EXPECT_FALSE(hit("/api/models"));
+  EXPECT_TRUE(hit("/api/models"));
+}
+
+// /setpw rewrites one profile: that user's menu re-renders (and now
+// asks for the password); another user's menu stays a hit.
+TEST_F(CacheFixture, SetPasswordInvalidatesThatUsersMenu) {
+  for (const char* page : {"/menu?user=pw", "/menu?user=bystander"}) {
+    EXPECT_FALSE(hit(page)) << page;
+    EXPECT_TRUE(hit(page)) << page;
+  }
+  ASSERT_EQ(post("/setpw", {{"user", "pw"}, {"newpw", "s3cret"}}).status,
+            200);
+  const Served locked = served("/menu?user=pw");
+  EXPECT_FALSE(locked.hit);
+  EXPECT_EQ(locked.response.status, 403);
+  EXPECT_TRUE(hit("/menu?user=bystander"));
+}
+
+// On a follower, one applied record re-renders exactly the pages that
+// read its entry.
+TEST_F(CacheFixture, ReplicatedApplyInvalidatesOnlyItsReaders) {
+  library::LibraryStore& primary = app->store();
+  const model::ModelRegistry& reg = app->registry();
+  const sheet::Design lum = studies::make_luminance_impl2(reg);
+  primary.save_design(lum);
+  primary.save_design(renamed(lum, "Luminance_3"));
+  PowerPlayApp follower{library::LibraryStore(dir / "follower")};
+  follower.store().install_replication_snapshot(
+      primary.export_replication_snapshot());
+  const auto follower_get = [&follower](const std::string& target) {
+    Request request;
+    request.target = target;
+    return follower.handle(request);
+  };
+  const std::vector<std::string> readers = {
+      "/design?user=f&name=Luminance_2", "/design/csv?name=Luminance_2",
+      "/api/design?name=Luminance_2"};
+  const std::vector<std::string> others = {
+      "/design?user=f&name=Luminance_3", "/api/designs", "/menu?user=f",
+      "/library?user=f"};
+  for (const auto* pages : {&readers, &others}) {
+    for (const std::string& page : *pages) {
+      EXPECT_FALSE(web::served(follower_get, page).hit) << page;
+      EXPECT_TRUE(web::served(follower_get, page).hit) << page;
+    }
+  }
+
+  sheet::Design edited = lum;
+  edited.globals().set("vdd", 2.5);
+  primary.save_design(edited);
+  const library::ReplCursor cursor = follower.store().replication_cursor();
+  const auto feed =
+      primary.read_replication_feed(cursor.epoch, cursor.seq, 1u << 20);
+  ASSERT_EQ(feed.records.size(), 1u);
+  ASSERT_EQ(follower.store().apply_replicated(feed.records.front()),
+            library::LibraryStore::ReplApply::kApplied);
+
+  for (const std::string& page : readers) {
+    EXPECT_FALSE(web::served(follower_get, page).hit) << page;
+  }
+  EXPECT_EQ(follower_get("/design/csv?name=Luminance_2").body,
+            sheet::to_csv(edited.play()));
+  for (const std::string& page : others) {
+    EXPECT_TRUE(web::served(follower_get, page).hit) << page;
   }
 }
 

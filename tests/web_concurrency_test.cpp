@@ -7,6 +7,7 @@
 #include "web/app.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -639,10 +640,15 @@ TEST_F(ConcurrencyFixture, ResponseCacheInvalidationOnMutation) {
   EXPECT_EQ(revalidate.status, 200);
   EXPECT_EQ(revalidate.body, after.body);
 
-  // An unrelated commit (a different user's profile) bumps the store
-  // revision; the fingerprint fast path revalidates this entry without
-  // a re-render, keeping body and ETag stable.
-  ASSERT_EQ(get("/menu?user=bystander").status, 200);
+  // An unrelated commit (a different user's design) bumps the store
+  // revision but not a stamp this page read: the entry stays a hit,
+  // keeping body and ETag stable.
+  ASSERT_EQ(post("/design/add", {{"user", "bystander"},
+                                 {"model", "register"},
+                                 {"design", "Elsewhere"},
+                                 {"row", "R0"}})
+                .status,
+            200);
   const Response still = get(target);
   EXPECT_EQ(still.body, after.body);
   EXPECT_EQ(still.headers.at("etag"), after.headers.at("etag"));
@@ -654,6 +660,121 @@ TEST_F(ConcurrencyFixture, ResponseCacheInvalidationOnMutation) {
         "etag_304s", "response_cache_entries", "response_cache_bytes"}) {
     EXPECT_NE(health.body.find(key), std::string::npos) << key;
   }
+}
+
+/// The TOTAL row of a design page as rendered, or "" when it has none.
+std::string total_row(const std::string& page) {
+  const auto at = page.find("<td>TOTAL</td>");
+  if (at == std::string::npos) return {};
+  return page.substr(at, page.find("</tr>", at) - at);
+}
+
+// Readers of cached design and menu pages run beside /design/play
+// writers.  Once a writer's POST has returned, no later GET of that
+// design shows an older TOTAL: the writer's own next GET shows the
+// TOTAL its POST rendered, and a reader's GET never shows a TOTAL from
+// before the last edit that had returned when the GET was sent.
+TEST_F(ConcurrencyFixture, CachedPagesNeverLagACompletedEdit) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 4;
+  constexpr int kEdits = 20;
+  struct Track {
+    std::mutex mutex;
+    /// TOTAL rows in commit order: the first design's (at the profile's
+    /// vdd of 1.5 V), then one per returned edit.  Strictly rising vdd
+    /// from 2.1 V makes each one new.
+    std::vector<std::string> totals;
+  };
+  std::array<Track, kWriters> tracks;
+  for (int w = 0; w < kWriters; ++w) {
+    const Response add = post("/design/add",
+                              {{"user", "hw" + std::to_string(w)},
+                               {"model", "register"},
+                               {"design", "HM" + std::to_string(w)},
+                               {"row", "R"},
+                               {"p_bits", "8"}});
+    ASSERT_EQ(add.status, 200) << add.body;
+    tracks[w].totals.push_back(total_row(add.body));
+  }
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::string user = "hw" + std::to_string(w);
+      const std::string design = "HM" + std::to_string(w);
+      const std::string page = "/design?user=" + user + "&name=" + design;
+      try {
+        HttpConnection conn(server->port());
+        for (int k = 1; k <= kEdits; ++k) {
+          const Response play =
+              post("/design/play", {{"user", user},
+                                    {"name", design},
+                                    {"g_vdd", std::to_string(2.0 + 0.1 * k)}});
+          const std::string total = total_row(play.body);
+          if (play.status != 200 || total.empty()) {
+            ++failures;
+            continue;
+          }
+          {
+            std::lock_guard lock(tracks[w].mutex);
+            tracks[w].totals.push_back(total);
+          }
+          if (total_row(conn.get(page).body) != total) ++failures;
+        }
+      } catch (const HttpError&) {
+        ++failures;
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      const std::string reader = "rd" + std::to_string(r);
+      try {
+        HttpConnection conn(server->port());
+        for (int i = 0; i < 5 || writers_left.load() > 0; ++i) {
+          const int w = (r + i) % kWriters;
+          const std::string design = "HM" + std::to_string(w);
+          Track& track = tracks[w];
+          std::size_t returned = 0;
+          {
+            std::lock_guard lock(track.mutex);
+            returned = track.totals.size();
+          }
+          const Response page =
+              conn.get("/design?user=" + reader + "&name=" + design);
+          const std::string total = total_row(page.body);
+          bool stale = page.status != 200 || total.empty();
+          {
+            std::lock_guard lock(track.mutex);
+            for (std::size_t g = 0; g + 1 < returned; ++g) {
+              stale = stale || track.totals[g] == total;
+            }
+          }
+          if (stale) ++failures;
+          const Response menu = conn.get("/menu?user=hw" + std::to_string(w));
+          if (menu.status != 200 ||
+              menu.body.find(design) == std::string::npos) {
+            ++failures;
+          }
+        }
+      } catch (const HttpError&) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const Track& track : tracks) {
+    EXPECT_EQ(track.totals.size(), static_cast<std::size_t>(kEdits + 1));
+  }
+  // The readers were served from the cache between edits.
+  const std::string health = get("/healthz").body;
+  const auto hits_at = health.find("\nresponse_cache_hits: ");
+  ASSERT_NE(hits_at, std::string::npos);
+  EXPECT_GT(std::stoull(health.substr(hits_at + 22)), 0u);
 }
 
 // /healthz reports the engine, cache, job-lifecycle and store-
