@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 
+#include "sheet/design.hpp"
+
 namespace powerplay::library {
 
 namespace {
@@ -23,8 +25,8 @@ std::uint64_t Catalog::lookup_locked(EntryKind kind,
                                      const std::string& name) const {
   const Kind& k = kinds_[static_cast<std::size_t>(kind)];
   if (name.empty()) return k.listing;
-  const auto it = k.stamps.find(name);
-  return it == k.stamps.end() ? 0 : it->second;
+  const auto it = k.entries.find(name);
+  return it == k.entries.end() ? 0 : it->second.stamp;
 }
 
 std::uint64_t Catalog::stamp(EntryKind kind, const std::string& name) const {
@@ -43,8 +45,8 @@ std::vector<std::string> Catalog::names(EntryKind kind) const {
   {
     std::shared_lock lock(mutex_);
     const Kind& k = kinds_[static_cast<std::size_t>(kind)];
-    out.reserve(k.stamps.size());
-    for (const auto& entry : k.stamps) out.push_back(entry.first);
+    out.reserve(k.entries.size());
+    for (const auto& entry : k.entries) out.push_back(entry.first);
     listing = k.listing;
   }
   note(kind, "", listing);
@@ -58,18 +60,50 @@ bool Catalog::current(const ReadSet& reads) const {
   });
 }
 
+Catalog::Held Catalog::held_design(const std::string& name) const {
+  Held out;
+  {
+    std::shared_lock lock(mutex_);
+    const Kind& k = kinds_[static_cast<std::size_t>(EntryKind::kDesign)];
+    if (const auto it = k.entries.find(name); it != k.entries.end()) {
+      out = {it->second.stamp, it->second.held};
+    }
+  }
+  note(EntryKind::kDesign, name, out.stamp);
+  return out;
+}
+
+void Catalog::hold_design(const std::string& name, std::uint64_t stamp,
+                          std::shared_ptr<const sheet::Design> design) {
+  std::unique_lock lock(mutex_);
+  Kind& k = kinds_[static_cast<std::size_t>(EntryKind::kDesign)];
+  if (const auto it = k.entries.find(name);
+      it != k.entries.end() && it->second.stamp == stamp) {
+    it->second.held.swap(design);  // the replaced one dies after unlock
+  }
+}
+
 void Catalog::put(EntryKind kind, const std::string& name) {
+  std::shared_ptr<const sheet::Design> dropped;  // dies after unlock
   std::unique_lock lock(mutex_);
   Kind& k = kinds_[static_cast<std::size_t>(kind)];
-  const auto [it, added] = k.stamps.try_emplace(name, 0);
-  it->second = ++last_stamp_;
+  const auto [it, added] = k.entries.try_emplace(name);
+  it->second.stamp = ++last_stamp_;
+  dropped.swap(it->second.held);
   if (added) k.listing = ++last_stamp_;
+  k.changes.fetch_add(1);
 }
 
 void Catalog::erase(EntryKind kind, const std::string& name) {
+  std::shared_ptr<const sheet::Design> dropped;  // dies after unlock
   std::unique_lock lock(mutex_);
   Kind& k = kinds_[static_cast<std::size_t>(kind)];
-  if (k.stamps.erase(name) > 0) k.listing = ++last_stamp_;
+  const auto it = k.entries.find(name);
+  if (it == k.entries.end()) return;
+  dropped.swap(it->second.held);
+  k.entries.erase(it);
+  k.listing = ++last_stamp_;
+  k.changes.fetch_add(1);
 }
 
 ReadScope::ReadScope(const Catalog& catalog)

@@ -9,6 +9,11 @@
 // stamp proves the entry (or the set of names) is byte-for-byte what it
 // was when the stamp was read.
 //
+// A design entry may also hold its parsed object beside the stamp (see
+// LibraryStore::load_design).  The held object belongs to the stamp:
+// the put or erase that renews or removes the stamp drops it, so a held
+// object is never newer or older than the entry it stands for.
+//
 // A ReadScope records every stamp the current thread reads from one
 // catalog — the read set of a render.  The response cache keeps a
 // page's read set and serves the page again for as long as every stamp
@@ -16,12 +21,18 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <compare>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <vector>
+
+namespace powerplay::sheet {
+class Design;
+}
 
 namespace powerplay::library {
 
@@ -52,6 +63,24 @@ class Catalog {
   /// True when every stamp in `reads` is still the current one.
   [[nodiscard]] bool current(const ReadSet& reads) const;
 
+  /// Bumped by every put or erase of an entry of `kind`: a cheap "did
+  /// anything of this kind move?" probe.  Records nothing.
+  [[nodiscard]] std::uint64_t changes(EntryKind kind) const {
+    return kinds_[static_cast<std::size_t>(kind)].changes.load();
+  }
+
+  /// The design entry's stamp (recorded like stamp()) and the parsed
+  /// design held beside it, null when none is held.
+  struct Held {
+    std::uint64_t stamp = 0;
+    std::shared_ptr<const sheet::Design> design;
+  };
+  [[nodiscard]] Held held_design(const std::string& name) const;
+  /// Hold `design` beside entry `name` if its stamp is still `stamp`
+  /// (the stamp read before the bytes it was parsed from).
+  void hold_design(const std::string& name, std::uint64_t stamp,
+                   std::shared_ptr<const sheet::Design> design);
+
   /// The entry's file was just (re)written: give it a fresh stamp.
   void put(EntryKind kind, const std::string& name);
   /// The entry is gone (deleted, quarantined or replaced wholesale).
@@ -59,9 +88,14 @@ class Catalog {
 
  private:
   friend class ReadScope;
+  struct Entry {
+    std::uint64_t stamp = 0;
+    std::shared_ptr<const sheet::Design> held;
+  };
   struct Kind {
-    std::map<std::string, std::uint64_t> stamps;
+    std::map<std::string, Entry> entries;
     std::uint64_t listing = 0;
+    std::atomic<std::uint64_t> changes{0};
   };
   /// The stamp of `name` (the listing's when empty); needs mutex_.
   [[nodiscard]] std::uint64_t lookup_locked(EntryKind kind,

@@ -579,13 +579,34 @@ bool LibraryStore::remove_user(const std::string& username) {
 }
 
 void LibraryStore::save_design(const sheet::Design& design) {
+  std::vector<const sheet::Design*> visited;
+  save_design_rec(design, visited);
+}
+
+void LibraryStore::save_design_rec(const sheet::Design& design,
+                                   std::vector<const sheet::Design*>& visited) {
   validate_store_name(design.name());
-  // Save macros the design references first so a later load resolves;
-  // shared sub-designs are written once per save (idempotent contents).
+  // Save macros the design references first so a later load resolves.
+  // A sub-design shared within the tree is written once per save, and
+  // one the store already holds, whole, is not written at all.
   for (const sheet::Row& row : design.rows()) {
-    if (row.is_macro()) save_design(*row.macro);
+    if (!row.is_macro()) continue;
+    const sheet::Design* sub = row.macro.get();
+    if (std::find(visited.begin(), visited.end(), sub) != visited.end()) {
+      continue;
+    }
+    visited.push_back(sub);
+    if (!holds_tree(*sub)) save_design_rec(*sub, visited);
   }
   commit({JournalRecord::Op::kPut, "design", design.name(), to_text(design)});
+}
+
+bool LibraryStore::holds_tree(const sheet::Design& design) const {
+  return catalog_->held_design(design.name()).design.get() == &design &&
+         std::all_of(design.rows().begin(), design.rows().end(),
+                     [&](const sheet::Row& row) {
+                       return !row.is_macro() || holds_tree(*row.macro);
+                     });
 }
 
 bool LibraryStore::has_design(const std::string& name) const {
@@ -596,12 +617,12 @@ bool LibraryStore::has_design(const std::string& name) const {
 std::shared_ptr<const sheet::Design> LibraryStore::load_design(
     const std::string& name, const model::ModelRegistry& lib) const {
   std::vector<std::string> in_flight;
-  return load_design_rec(name, lib, in_flight);
+  return load_design_rec(name, lib, in_flight, /*sub=*/false);
 }
 
 std::shared_ptr<const sheet::Design> LibraryStore::load_design_rec(
     const std::string& name, const model::ModelRegistry& lib,
-    std::vector<std::string>& in_flight) const {
+    std::vector<std::string>& in_flight, bool sub) const {
   validate_store_name(name);
   if (std::find(in_flight.begin(), in_flight.end(), name) !=
       in_flight.end()) {
@@ -609,22 +630,50 @@ std::shared_ptr<const sheet::Design> LibraryStore::load_design_rec(
     for (const std::string& n : in_flight) cycle += n + " -> ";
     throw FormatError("design reference cycle: " + cycle + name);
   }
-  if (!catalog_->contains(EntryKind::kDesign, name)) {
+  const Catalog::Held held = catalog_->held_design(name);
+  if (held.stamp == 0) {
     throw FormatError("no stored design named '" + name + "'");
+  }
+  in_flight.push_back(name);
+  // Resolves a macro reference; `named` stays true while every resolved
+  // sub-design carries the name it was referenced by, which lets a held
+  // design be revalidated by its rows' macro names.
+  bool named = true;
+  const auto resolve = [&](const std::string& ref) {
+    auto design = load_design_rec(ref, lib, in_flight, /*sub=*/true);
+    named = named && design->name() == ref;
+    return design;
+  };
+  // A held design still stands for the stored tree while every model
+  // row points at the registry's current model of that name and every
+  // macro row at the current held sub-design.  Checking the macros
+  // resolves them, which records their stamps as a disk read would.
+  if (held.design != nullptr &&
+      std::all_of(held.design->rows().begin(), held.design->rows().end(),
+                  [&](const sheet::Row& row) {
+                    return row.is_macro()
+                               ? resolve(row.macro->name()) == row.macro
+                               : lib.find_shared(row.model->name()) ==
+                                     row.model;
+                  })) {
+    in_flight.pop_back();
+    return held.design;
   }
   const auto text = read_verified(EntryKind::kDesign, name);
   if (!text) {
     throw FormatError("stored design '" + name +
                       "' was corrupt and has been quarantined");
   }
-  in_flight.push_back(name);
-  sheet::Design d = parse_design(
-      *text, lib,
-      [&](const std::string& ref) {
-        return load_design_rec(ref, lib, in_flight);
-      });
+  named = true;
+  auto design =
+      std::make_shared<const sheet::Design>(parse_design(*text, lib, resolve));
   in_flight.pop_back();
-  return std::make_shared<const sheet::Design>(std::move(d));
+  // Only sub-designs are held: they are the ones loaded again as parts
+  // of other designs, and they bound the memory held to the macro set.
+  if (sub && named && design->name() == name) {
+    catalog_->hold_design(name, held.stamp, design);
+  }
+  return design;
 }
 
 std::vector<std::string> LibraryStore::list_designs() const {

@@ -28,6 +28,17 @@
 // apply() of a record — commit, replay, replicated apply, snapshot
 // install — keeps it current.  Existence checks and listings never
 // touch the filesystem; only reading an entry's contents does.
+//
+// Sub-designs are held parsed.  When load_design resolves a macro
+// reference, the catalog keeps the parsed design beside the entry's
+// stamp, and the next resolution of that name is served from memory
+// while the stamp is current, every model row still points at the
+// registry's model of that name and every macro row at the current
+// held sub-design.  The put or erase that renews the stamp drops the
+// held design, so a held macro is not re-read from disk until its stamp
+// moves or the store reopens.  save_design writes no record for a
+// sub-design whose whole tree the store holds: it is stored byte for
+// byte already.
 #pragma once
 
 #include <atomic>
@@ -129,9 +140,14 @@ class LibraryStore {
   bool remove_user(const std::string& username);
 
   // --- designs -----------------------------------------------------------
+  /// Commit `design` and every sub-design in its tree, each once, except
+  /// sub-designs whose whole tree is the one the store holds.
   void save_design(const sheet::Design& design);
   /// Load by name, resolving macro references recursively from this
-  /// store.  Throws FormatError on missing designs or reference cycles.
+  /// store (held sub-designs are served from memory; see the file
+  /// comment).  The top-level design is held only while it is also a
+  /// sub-design.  Throws FormatError on missing designs or reference
+  /// cycles.
   [[nodiscard]] std::shared_ptr<const sheet::Design> load_design(
       const std::string& name, const model::ModelRegistry& lib) const;
   [[nodiscard]] std::vector<std::string> list_designs() const;
@@ -266,9 +282,16 @@ class LibraryStore {
   [[nodiscard]] std::optional<std::string> read_verified(
       EntryKind kind, const std::string& name) const;
 
+  /// `sub`: the design is resolved as a macro of another, so the
+  /// parsed result is held.
   std::shared_ptr<const sheet::Design> load_design_rec(
       const std::string& name, const model::ModelRegistry& lib,
-      std::vector<std::string>& in_flight) const;
+      std::vector<std::string>& in_flight, bool sub) const;
+  void save_design_rec(const sheet::Design& design,
+                       std::vector<const sheet::Design*>& visited);
+  /// True when `design` and every sub-design below it are the objects
+  /// the catalog holds under their names.
+  [[nodiscard]] bool holds_tree(const sheet::Design& design) const;
 
   /// Wakes long-poll waiters whenever the journal position moves.
   /// Heap-held (like the counters) so the store stays movable.

@@ -193,7 +193,7 @@ PowerPlayApp::PowerPlayApp(library::LibraryStore store,
     cache_ = std::make_unique<ResponseCache>(app_options.cache);
   }
   models::add_berkeley_models(registry_);
-  store_.load_all_models(registry_);
+  sync_models();
   // The Design Agent and its tool-backed library entry.  agent_ lives in
   // this object, so the ToolFlowModel's pointer stays valid for the
   // app's lifetime.
@@ -254,6 +254,12 @@ Response PowerPlayApp::dispatch(const Request& request,
       return redirect_to_primary(request);
     }
     if (route->lock == kUnlocked) return run(*route, q);
+    // Replicated model records reach the store behind the registry's
+    // back; every locked row reads the registry.
+    if (store_.catalog().changes(library::EntryKind::kModel) !=
+        models_seen_.load()) {
+      sync_models();
+    }
 
     // Shard 1: each user's own requests are serialized (profile and
     // design edits are read-modify-write over their files).  Users hash
@@ -295,6 +301,51 @@ Response PowerPlayApp::dispatch(const Request& request,
   } catch (const std::exception& e) {
     return Response::server_error(e.what());
   }
+}
+
+void PowerPlayApp::sync_models() {
+  const library::Catalog& catalog = store_.catalog();
+  std::unique_lock lib(library_mutex_);
+  // Read before the scan: a record landing during it moves the count
+  // again, and the next request rescans.
+  const std::uint64_t changes = catalog.changes(library::EntryKind::kModel);
+  if (changes == models_seen_.load()) return;  // another request synced
+  bool moved = false;
+  for (const std::string& name : store_.list_models()) {
+    const std::uint64_t stamp =
+        catalog.stamp(library::EntryKind::kModel, name);
+    std::uint64_t& seen = model_stamps_[name];
+    if (seen == stamp) continue;
+    seen = stamp;
+    try {
+      if (const auto def = store_.load_model(name)) {
+        registry_.add_or_replace(std::make_shared<model::UserModel>(*def));
+        moved = true;
+      }
+    } catch (const std::exception&) {
+      // A definition that does not parse or build stays out of the
+      // registry; failing here would fail every request that syncs.
+    }
+  }
+  models_seen_.store(changes);
+  if (moved) model_revision_.fetch_add(1);
+}
+
+void PowerPlayApp::define_model_locked(const model::UserModelDefinition& def,
+                                       bool save, bool proprietary) {
+  // Validate by construction: a bad equation throws before anything is
+  // saved.
+  auto user_model = std::make_shared<model::UserModel>(def);
+  if (save) {
+    store_.save_model(def, proprietary);
+    model_stamps_[def.name] =
+        store_.catalog().stamp(library::EntryKind::kModel, def.name);
+  }
+  registry_.add_or_replace(std::move(user_model));
+  // A redefinition changes Play results without changing any stored
+  // design; bump the registry generation so cached pages rendered
+  // against the old definition are not served again.
+  model_revision_.fetch_add(1);
 }
 
 Response PowerPlayApp::run(const Route& route, const Params& q) {
@@ -494,11 +545,7 @@ FederatedLibrary& PowerPlayApp::enable_federation(FederationOptions options) {
   // primary's own sync journals the model and replication delivers it.
   federation_->set_mirror_sink([this](const model::UserModelDefinition& def) {
     std::unique_lock lib(library_mutex_);
-    if (role_.load() == ReplRole::kPrimary) {
-      store_.save_model(def);
-    }
-    registry_.add_or_replace(std::make_shared<model::UserModel>(def));
-    model_revision_.fetch_add(1);
+    define_model_locked(def, /*save=*/role_.load() == ReplRole::kPrimary);
   });
   return *federation_;
 }
@@ -1386,16 +1433,13 @@ Response PowerPlayApp::do_design_explore(UserProfile profile, const Params& q) {
                const engine::JobManager::Progress& progress) {
       explore::FitResult fit =
           explore::fit_surrogate(engine_, snapshot, spec, progress);
-      // Validate by construction, then commit to the shared library
-      // exactly like POST /newmodel: journaled save (so the model
-      // survives reopen and replicates to followers), registry swap,
-      // revision bump so cached pages re-render.
-      auto surrogate = std::make_shared<model::UserModel>(fit.definition);
+      // Commit to the shared library exactly like POST /newmodel:
+      // journaled save (so the model survives reopen and replicates to
+      // followers), registry swap, revision bump so cached pages
+      // re-render.
       {
         std::unique_lock lib(library_mutex_);
-        store_.save_model(fit.definition, false);
-        registry_.add_or_replace(std::move(surrogate));
-        model_revision_.fetch_add(1);
+        define_model_locked(fit.definition, /*save=*/true);
       }
       surrogate_fits_total_.fetch_add(1);
       return typed_result(std::move(fit), explore::fit_table,
@@ -1655,15 +1699,9 @@ Response PowerPlayApp::do_new_model(UserProfile profile, const Params& q) {
   def.area = get_or(q, "area");
   def.delay = get_or(q, "delay");
 
-  // Validate by construction; surfaces equation errors to the form user.
-  auto user_model = std::make_shared<model::UserModel>(def);
+  // Construction surfaces equation errors to the form user.
   const bool proprietary = get_or(q, "proprietary", "0") == "1";
-  store_.save_model(def, proprietary);
-  registry_.add_or_replace(std::move(user_model));
-  // A redefinition changes Play results without changing any stored
-  // design; bump the registry generation so cached pages rendered
-  // against the old definition are not served again.
-  model_revision_.fetch_add(1);
+  define_model_locked(def, /*save=*/true, proprietary);
 
   HtmlPage page("Model created");
   page.paragraph("Model '" + def.name + "' is now in the shared library" +

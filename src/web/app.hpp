@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <array>
 #include <memory>
 #include <mutex>
@@ -197,6 +198,17 @@ class PowerPlayApp {
   struct Route;
   static const Route kRoutes[];
 
+  /// Load into the registry every stored model whose entry moved since
+  /// the registry last read it (at construction, or a follower's
+  /// replicated model record), and bump model_revision_ if any did.
+  /// Takes the exclusive library lock.
+  void sync_models();
+  /// Register `def` (validated by construction) and bump
+  /// model_revision_; with `save`, journal it first.  Needs the
+  /// exclusive library lock.
+  void define_model_locked(const model::UserModelDefinition& def, bool save,
+                           bool proprietary = false);
+
   /// Call `route`'s handler, checking the password first if it takes
   /// the user's profile.
   Response run(const Route& route, const Params& q);
@@ -243,6 +255,11 @@ class PowerPlayApp {
   /// A redefinition changes Play results without changing any stored
   /// design, so cached pages must key on this too.
   std::atomic<std::uint64_t> model_revision_{1};
+  /// The catalog's model changes() count, and each stored model's
+  /// stamp, as of the registry's last sync_models().  model_stamps_
+  /// needs the exclusive library lock.
+  std::atomic<std::uint64_t> models_seen_{0};
+  std::map<std::string, std::uint64_t> model_stamps_;
 
   // Exploration counters for /healthz.  surrogate_hits_total_ is bumped
   // from const page handlers, hence mutable.

@@ -426,5 +426,163 @@ TEST(Catalog, BuiltAtRecoveryAndPrunedByQuarantine) {
   EXPECT_EQ(store.durability().quarantined_files, 1u);
 }
 
+// --- held sub-designs ------------------------------------------------------------
+
+/// `src` under another top-level name, sharing its rows (and so its
+/// macro objects).
+sheet::Design renamed(const sheet::Design& src, const std::string& name) {
+  sheet::Design d(name, src.description());
+  d.globals() = src.globals();
+  d.rows() = src.rows();
+  return d;
+}
+
+/// The macro object of row `row` of `design`.
+const sheet::Design* macro_of(const sheet::Design& design,
+                              const std::string& row) {
+  return design.find_row(row)->macro.get();
+}
+
+// A sub-design shared within one tree is committed once: the InfoPad
+// tree is 4 records, not 5 (Luminance_2 backs two Custom_Chipset rows).
+TEST(HeldDesigns, SharedSubDesignIsWrittenOncePerSave) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  EXPECT_EQ(store.durability().journal_appends, 4u);
+}
+
+// Two loads of one top-level design parse the top twice but share every
+// sub-design object, down to the Luminance_2 both chip rows point at.
+TEST(HeldDesigns, LoadsShareSubDesignObjects) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  store.save_design(renamed(studies::make_infopad(lib()), "Pad_Copy"));
+  const auto first = store.load_design("Pad_Copy", lib());
+  const auto second = store.load_design("Pad_Copy", lib());
+  const auto base = store.load_design("InfoPad_System", lib());
+  EXPECT_NE(first, second);
+  const sheet::Design* chipset = macro_of(*first, "Custom Hardware");
+  EXPECT_EQ(macro_of(*second, "Custom Hardware"), chipset);
+  EXPECT_EQ(macro_of(*base, "Custom Hardware"), chipset);
+  EXPECT_EQ(macro_of(*second, "uProcessor Subsystem"),
+            macro_of(*first, "uProcessor Subsystem"));
+  EXPECT_EQ(macro_of(*chipset, "Luminance Chip"),
+            macro_of(*chipset, "Chrominance Chip"));
+  EXPECT_EQ(second->play().total.total_power().si(),
+            studies::make_infopad(lib()).play().total.total_power().si());
+}
+
+// A load served from held sub-designs records the same stamps as one
+// that read them from disk, so read-set validation stays exact.
+TEST(HeldDesigns, HeldLoadRecordsTheWholeTreeReadSet) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  const auto read_set = [&] {
+    ReadScope scope(store.catalog());
+    (void)store.load_design("InfoPad_System", lib());
+    return scope.take();
+  };
+  const ReadSet cold = read_set();
+  ASSERT_EQ(cold.size(), 4u);
+  EXPECT_EQ(read_set(), cold);
+}
+
+// A commit to a held sub-design drops it: the next load parses the new
+// Luminance_2 and the Custom_Chipset above it, and keeps the untouched
+// processor subsystem.
+TEST(HeldDesigns, CommitToASubDesignRenewsItAndItsUsers) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  const auto before = store.load_design("InfoPad_System", lib());
+  const sheet::Design* chipset = macro_of(*before, "Custom Hardware");
+  const sheet::Design* lum = macro_of(*chipset, "Luminance Chip");
+
+  sheet::Design edited = studies::make_luminance_impl2(lib());
+  edited.globals().set("vdd", 1.1);
+  store.save_design(edited);
+  const auto after = store.load_design("InfoPad_System", lib());
+  const sheet::Design* new_chipset = macro_of(*after, "Custom Hardware");
+  EXPECT_NE(new_chipset, chipset);
+  EXPECT_NE(macro_of(*new_chipset, "Luminance Chip"), lum);
+  EXPECT_EQ(macro_of(*after, "uProcessor Subsystem"),
+            macro_of(*before, "uProcessor Subsystem"));
+  EXPECT_EQ(to_text(*macro_of(*new_chipset, "Luminance Chip")),
+            to_text(edited));
+}
+
+// Saving a loaded copy after a top-level edit writes the top only; a
+// tree with a fresh sub-design object writes that sub-design, and the
+// fresh tree below it, as before.
+TEST(HeldDesigns, SaveWritesOnlyWhatTheStoreDoesNotHold) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  const auto appends = [&] { return store.durability().journal_appends; };
+  sheet::Design copy(*store.load_design("InfoPad_System", lib()));
+  copy.globals().set("vdd", 1.2);
+  std::uint64_t before = appends();
+  store.save_design(copy);
+  EXPECT_EQ(appends(), before + 1);
+
+  // A fresh Custom_Chipset (with a fresh Luminance_2) under a held
+  // processor subsystem: chipset, Luminance_2 and the top.
+  copy.find_row("Custom Hardware")->macro =
+      std::make_shared<const sheet::Design>(
+          studies::make_custom_chipset(lib()));
+  before = appends();
+  store.save_design(copy);
+  EXPECT_EQ(appends(), before + 3);
+  const auto back = store.load_design("InfoPad_System", lib());
+  EXPECT_EQ(back->play().total.total_power().si(),
+            copy.play().total.total_power().si());
+}
+
+// A model redefined in the registry reaches a design whose sub-design
+// uses it: the held sub-design is parsed again against the new model.
+TEST(HeldDesigns, RedefinedModelReachesTheNextPlay) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  model::ModelRegistry reg = models::berkeley_library();
+  model::UserModelDefinition def;
+  def.name = "amp";
+  def.category = model::Category::kAnalog;
+  def.params = {{"i", "bias current", 1e-3, "A"}};
+  def.static_current = "i";
+  reg.add_or_replace(std::make_shared<model::UserModel>(def));
+  auto sub = std::make_shared<sheet::Design>("Amp_Block");
+  sub->globals().set("vdd", 1.0);
+  sub->add_row("A", reg.find_shared("amp"));
+  sheet::Design top("Amp_Top");
+  top.add_macro("Block", sub);
+  store.save_design(top);
+
+  const auto first = store.load_design("Amp_Top", reg);
+  EXPECT_DOUBLE_EQ(first->play().total.total_power().si(), 1e-3);
+  EXPECT_EQ(store.load_design("Amp_Top", reg)->rows()[0].macro,
+            first->rows()[0].macro);
+  def.static_current = "2*i";
+  reg.add_or_replace(std::make_shared<model::UserModel>(def));
+  const auto second = store.load_design("Amp_Top", reg);
+  EXPECT_NE(second->rows()[0].macro, first->rows()[0].macro);
+  EXPECT_DOUBLE_EQ(second->play().total.total_power().si(), 2e-3);
+}
+
+// Removing a held sub-design makes every design above it fail to load,
+// exactly as when it was read from disk.
+TEST(HeldDesigns, RemovedSubDesignFailsItsUsers) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  (void)store.load_design("InfoPad_System", lib());
+  ASSERT_TRUE(store.remove_design("Luminance_2"));
+  EXPECT_THROW((void)store.load_design("InfoPad_System", lib()), FormatError);
+  EXPECT_THROW((void)store.load_design("Custom_Chipset", lib()), FormatError);
+  EXPECT_NO_THROW((void)store.load_design("uProcessor_Subsystem", lib()));
+}
+
 }  // namespace
 }  // namespace powerplay::library

@@ -1179,5 +1179,86 @@ TEST_F(CacheFixture, ReplicatedApplyInvalidatesOnlyItsReaders) {
   }
 }
 
+// An edit of a user's InfoPad copy commits its own design only: the
+// shared macros it loaded are held by the store unchanged, so their
+// entries keep their stamps and the base design's page stays cached.
+TEST_F(CacheFixture, InfoPadCopyEditCommitsOneRecord) {
+  const sheet::Design pad = studies::make_infopad(app->registry());
+  app->store().save_design(pad);
+  app->store().save_design(renamed(pad, "Pad_ed"));
+  ASSERT_EQ(get("/menu?user=ed").status, 200);
+  const std::string base = "/design?user=ed&name=InfoPad_System";
+  EXPECT_FALSE(hit(base));
+  EXPECT_TRUE(hit(base));
+  const auto appends = [this] {
+    return healthz_counter(get("/healthz").body, "journal_appends");
+  };
+  for (const char* vdd : {"1.2", "1.3"}) {
+    const std::uint64_t before = appends();
+    ASSERT_EQ(post("/design/play",
+                   {{"user", "ed"}, {"name", "Pad_ed"}, {"g_vdd", vdd}})
+                  .status,
+              200);
+    EXPECT_EQ(appends(), before + 1) << vdd;
+    EXPECT_TRUE(hit(base)) << vdd;
+  }
+}
+
+/// Ship every record the primary holds past the follower's cursor.
+void replicate(library::LibraryStore& primary, library::LibraryStore& follower) {
+  const library::ReplCursor cursor = follower.replication_cursor();
+  const auto feed =
+      primary.read_replication_feed(cursor.epoch, cursor.seq, 1u << 20);
+  for (const library::JournalRecord& record : feed.records) {
+    ASSERT_EQ(follower.apply_replicated(record),
+              library::LibraryStore::ReplApply::kApplied);
+  }
+}
+
+// A follower's registry learns user models that arrive by replication,
+// new or redefined, without a restart; a held sub-design that uses a
+// redefined model is parsed again against it.
+TEST_F(CacheFixture, FollowerRegistryLearnsReplicatedModels) {
+  library::LibraryStore& primary = app->store();
+  PowerPlayApp follower{library::LibraryStore(dir / "follower")};
+  follower.store().install_replication_snapshot(
+      primary.export_replication_snapshot());
+  const auto follower_get = [&follower](const std::string& target) {
+    Request request;
+    request.target = target;
+    return follower.handle(request);
+  };
+  const std::string model_page = "/model?user=f&name=amp";
+  EXPECT_EQ(follower_get(model_page).status, 400);
+
+  const auto define_amp = [this](const std::string& current) {
+    return post("/newmodel", {{"user", "dl"},
+                              {"name", "amp"},
+                              {"category", "analog"},
+                              {"doc", "bias amplifier"},
+                              {"params", "i=1e-3"},
+                              {"static_current", current}})
+        .status;
+  };
+  ASSERT_EQ(define_amp("i"), 200);
+  sheet::Design block("Amp_Block");
+  block.globals().set("vdd", 1.0);
+  block.add_row("A", app->registry().find_shared("amp"));
+  sheet::Design top("Amp_Top");
+  top.add_macro("Block", std::make_shared<const sheet::Design>(block));
+  primary.save_design(top);
+  replicate(primary, follower.store());
+  EXPECT_EQ(follower_get(model_page).status, 200);
+  const std::string csv = "/design/csv?name=Amp_Top";
+  EXPECT_EQ(follower_get(csv).body, get(csv).body);
+
+  ASSERT_EQ(define_amp("2*i"), 200);
+  const std::string redefined = get(csv).body;
+  EXPECT_NE(redefined, follower_get(csv).body);
+  replicate(primary, follower.store());
+  EXPECT_EQ(follower_get(csv).body, redefined);
+  EXPECT_EQ(follower_get(model_page).body, get(model_page).body);
+}
+
 }  // namespace
 }  // namespace powerplay::web

@@ -24,7 +24,10 @@
 #include "explore/mc.hpp"
 #include "explore/pareto.hpp"
 #include "explore/surrogate.hpp"
+#include "sheet/report.hpp"
 #include "sheet/sweep.hpp"
+#include "studies/infopad.hpp"
+#include "studies/vq.hpp"
 #include "web/client.hpp"
 #include "web/server.hpp"
 
@@ -775,6 +778,110 @@ TEST_F(ConcurrencyFixture, CachedPagesNeverLagACompletedEdit) {
   const auto hits_at = health.find("\nresponse_cache_hits: ");
   ASSERT_NE(hits_at, std::string::npos);
   EXPECT_GT(std::stoull(health.substr(hits_at + 22)), 0u);
+}
+
+// Readers of InfoPad variants run beside a writer that edits the
+// shared Luminance_2 macro itself through /design/setrow, and beside a
+// second writer pressing Play on its own InfoPad copy.  Every read must
+// render the tree of one whole Luminance_2 generation, never one older
+// than the last edit that had returned when the read was sent; the copy
+// edits, which skip the macros the store holds, never revert the macro.
+TEST_F(ConcurrencyFixture, HeldMacrosNeverLagACompletedMacroEdit) {
+  constexpr int kVariants = 3;
+  constexpr int kReaders = 4;
+  constexpr int kEdits = 15;
+  const model::ModelRegistry& reg = app->registry();
+  const sheet::Design pad = studies::make_infopad(reg);
+  const auto variant = [&](int v) {
+    sheet::Design d("Pad_v" + std::to_string(v), pad.description());
+    d.globals() = pad.globals();
+    d.globals().set("vdd", 3.0 + 0.5 * v);
+    d.rows() = pad.rows();
+    return d;
+  };
+  app->store().save_design(pad);
+  for (int v = 0; v <= kVariants; ++v) app->store().save_design(variant(v));
+
+  // The CSV of every variant with Luminance_2's hold register at
+  // 24 + g bits: generation g is what edit g commits (0 = as saved).
+  std::vector<std::array<std::string, kVariants>> expected;
+  std::vector<std::string> lum_csv;
+  for (int g = 0; g <= kEdits; ++g) {
+    sheet::Design lum = studies::make_luminance_impl2(reg);
+    lum.find_row("Hold Register")->params.set("bits", 24.0 + g);
+    const auto shared_lum = std::make_shared<const sheet::Design>(lum);
+    sheet::Design chipset = studies::make_custom_chipset(reg);
+    chipset.find_row("Luminance Chip")->macro = shared_lum;
+    chipset.find_row("Chrominance Chip")->macro = shared_lum;
+    const auto shared_chipset =
+        std::make_shared<const sheet::Design>(chipset);
+    auto& row = expected.emplace_back();
+    for (int v = 0; v < kVariants; ++v) {
+      sheet::Design d = variant(v);
+      d.find_row("Custom Hardware")->macro = shared_chipset;
+      row[v] = sheet::to_csv(d.play());
+    }
+    lum_csv.push_back(sheet::to_csv(lum.play()));
+  }
+
+  std::atomic<int> returned{0};  // macro edits that have returned
+  std::atomic<bool> writing{true};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int g = 1; g <= kEdits; ++g) {
+      const Response edit =
+          post("/design/setrow", {{"user", "lw"},
+                                  {"name", "Luminance_2"},
+                                  {"row", "Hold Register"},
+                                  {"param", "bits"},
+                                  {"value", std::to_string(24 + g)}});
+      if (edit.status != 200) ++failures;
+      returned.store(g);
+    }
+    writing.store(false);
+  });
+  threads.emplace_back([&] {
+    const std::string copy = "Pad_v" + std::to_string(kVariants);
+    for (int k = 0; writing.load(); ++k) {
+      const Response play =
+          post("/design/play", {{"user", "cw"},
+                                {"name", copy},
+                                {"g_vdd", std::to_string(2.0 + 0.01 * k)}});
+      if (play.status != 200) ++failures;
+    }
+  });
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        HttpConnection conn(server->port());
+        for (int i = 0; i < 5 || writing.load(); ++i) {
+          const int v = (r + i) % kVariants;
+          const int floor = returned.load();
+          const Response csv =
+              conn.get("/design/csv?name=Pad_v" + std::to_string(v));
+          bool fresh = false;
+          for (int g = floor; g <= kEdits; ++g) {
+            fresh = fresh || csv.body == expected[g][v];
+          }
+          if (csv.status != 200 || !fresh) ++failures;
+          const Response page = conn.get("/design?user=rd" +
+                                         std::to_string(r) + "&name=Pad_v" +
+                                         std::to_string(v));
+          if (page.status != 200) ++failures;
+        }
+      } catch (const HttpError&) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(get("/design/csv?name=Luminance_2").body, lum_csv[kEdits]);
+  for (int v = 0; v < kVariants; ++v) {
+    EXPECT_EQ(get("/design/csv?name=Pad_v" + std::to_string(v)).body,
+              expected[kEdits][v]);
+  }
 }
 
 // /healthz reports the engine, cache, job-lifecycle and store-
